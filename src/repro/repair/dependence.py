@@ -11,6 +11,7 @@ node — we assert it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Sequence, Tuple
 
 from ..dpst.nodes import ASYNC, STEP, DpstNode
@@ -73,6 +74,12 @@ class DependenceGraph:
         self.nodes = nodes
         #: edges as 0-based (source position, sink position), source < sink
         self.edges = edges
+        # Successor index: edge sources in order, and each one's sinks.
+        succs: Dict[int, List[int]] = {}
+        for x, y in edges:
+            succs.setdefault(x, []).append(y)
+        self._sources = sorted(succs)
+        self._succs = {x: sorted(ys) for x, ys in succs.items()}
 
     @property
     def size(self) -> int:
@@ -80,6 +87,16 @@ class DependenceGraph:
 
     def times(self) -> List[int]:
         return [n.time for n in self.nodes]
+
+    def covered_sinks(self, i: int, k: int) -> List[int]:
+        """Sorted sinks of the edges a finish around nodes ``i..k`` covers:
+        ``{y for (x, y) in edges if i <= x <= k < y}``."""
+        sources = self._sources
+        sinks = set()
+        for pos in range(bisect_left(sources, i), bisect_right(sources, k)):
+            succ = self._succs[sources[pos]]
+            sinks.update(succ[bisect_right(succ, k):])
+        return sorted(sinks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DependenceGraph(at={self.nslca.describe()}, "

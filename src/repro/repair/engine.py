@@ -42,7 +42,6 @@ from ..lang.transform import (
     synthetic_finishes,
 )
 from ..races.detect import DetectionResult, detect_races
-from ..races.report import RaceReport
 from .dependence import build_dependence_graph, group_races_by_nslca
 from .insertion import InsertionFinder, InsertionPoint, build_scope_table
 from .placement import solve_placement
@@ -210,7 +209,6 @@ class RepairEngine:
 
     def __init__(self, algorithm: str = "mrw", max_iterations: int = 20,
                  seed: int = 20140609, max_ops: int = 200_000_000,
-                 trace_roundtrip: bool = True,
                  reuse_trace: Optional[bool] = None,
                  incremental: Optional[bool] = None) -> None:
         if max_iterations < 1:
@@ -219,9 +217,6 @@ class RepairEngine:
         self.max_iterations = max_iterations
         self.seed = seed
         self.max_ops = max_ops
-        #: serialize + reparse the race trace each iteration, mirroring the
-        #: artifact's trace-file pipeline (and its cost profile).
-        self.trace_roundtrip = trace_roundtrip
         if reuse_trace is None:
             reuse_trace = replay_enabled_default()
         #: record the iteration-0 execution and replay it for every later
@@ -354,23 +349,8 @@ class RepairEngine:
 
     def _step_pairs(self, detection: DetectionResult
                     ) -> List[Tuple[DpstNode, DpstNode]]:
-        """Distinct racing step pairs — optionally via the trace-file
-        round trip used by the paper's artifact."""
-        if not self.trace_roundtrip:
-            return detection.report.distinct_step_pairs()
-        trace = detection.report.to_trace_json()
-        rows = RaceReport.trace_rows(trace)
-        by_index: Dict[int, DpstNode] = {
-            node.index: node for node in detection.dpst.walk()}
-        seen = set()
-        pairs: List[Tuple[DpstNode, DpstNode]] = []
-        for row in rows:
-            key = (row["source_step"], row["sink_step"])
-            if key in seen:
-                continue
-            seen.add(key)
-            pairs.append((by_index[key[0]], by_index[key[1]]))
-        return pairs
+        """Distinct racing step pairs, in detection order."""
+        return detection.report.distinct_step_pairs()
 
     def _compute_placements(self, work: ast.Program,
                             detection: DetectionResult,
@@ -387,12 +367,9 @@ class RepairEngine:
             graph = build_dependence_graph(tree, nslca, group, span_cache)
             is_async = [n.is_async for n in graph.nodes]
 
-            def sinks_of(i: int, k: int, _g=graph):
-                """Sinks of the edges a finish around i..k covers."""
-                return sorted({y for x, y in _g.edges if i <= x <= k < y})
-
             def valid(i: int, k: int, _g=graph, _n=nslca) -> bool:
-                return finder.valid(_n, _g.nodes, i, k, sinks_of(i, k, _g))
+                return finder.valid(_n, _g.nodes, i, k,
+                                    _g.covered_sinks(i, k))
 
             solution = solve_placement(graph.times(), is_async,
                                        graph.edges, valid)
@@ -406,7 +383,7 @@ class RepairEngine:
                 solution.cost, solution.finishes))
             for s, e in solution.finishes:
                 point = finder.find(nslca, graph.nodes, s, e,
-                                    sinks_of(s, e, graph))
+                                    graph.covered_sinks(s, e))
                 if point is None:  # pragma: no cover - valid() guarantees it
                     raise RepairError(
                         f"placement ({s}, {e}) at {nslca.describe()} has no "
@@ -593,7 +570,6 @@ def repair_for_inputs(program: ast.Program, inputs: Sequence[Sequence[Any]],
 def repair_program(program: ast.Program, args: Sequence[Any] = (),
                    algorithm: str = "mrw", max_iterations: int = 20,
                    seed: int = 20140609, max_ops: int = 200_000_000,
-                   trace_roundtrip: bool = True,
                    reuse_trace: Optional[bool] = None,
                    incremental: Optional[bool] = None) -> RepairResult:
     """One-call repair: returns a race-free (for ``args``) program copy.
@@ -608,7 +584,6 @@ def repair_program(program: ast.Program, args: Sequence[Any] = (),
     """
     engine = RepairEngine(algorithm=algorithm, max_iterations=max_iterations,
                           seed=seed, max_ops=max_ops,
-                          trace_roundtrip=trace_roundtrip,
                           reuse_trace=reuse_trace,
                           incremental=incremental)
     return engine.repair(program, args)

@@ -20,13 +20,22 @@ Ties in cost are broken toward a smaller earliest-start-time for whatever
 follows, then toward the smaller partition point — which reproduces the
 paper's worked Fibonacci example (Figure 14: the finish wraps only the two
 asyncs, not the preceding step).
+
+The DP stays O(n^3) in the worst case, but most cells of a real
+dependence graph cover a range with no edge inside.  There every
+partition ties with the first one (DESIGN.md §5, "Edge-free DP cells"),
+so such a cell is filled in O(1) and VALID is never asked about it.  The
+other cells run the full partition loop over row lists and column-major
+copies of ``Opt``/EST, asking VALID at most once per ``(i, k)``.  Each
+call adds its cell counts to the ``repair.dp_cells`` and
+``repair.dp_cells_edge_free`` telemetry counters.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from .. import telemetry
 from ..errors import RepairError
 
 INF = float("inf")
@@ -50,31 +59,40 @@ class PlacementSolution:
         return f"PlacementSolution(cost={self.cost}, finishes={self.finishes})"
 
 
-def _first_cross_table(n: int,
-                       edges: Sequence[Tuple[int, int]]) -> List[List[int]]:
-    """``table[i][k]`` = the smallest edge sink ``y > k`` over sources in
-    ``i..k`` (or ``n`` if none).  ``succ(i..k) ∩ {k+1..j} != empty`` is then
-    simply ``table[i][k] <= j``."""
+def _edge_tables(n: int, edges: Sequence[Tuple[int, int]]
+                 ) -> Tuple[List[List[int]], List[int]]:
+    """The DP's edge lookups, built row by row from the right.
+
+    ``first_cross[i][k]`` (for ``k >= i``) is the smallest sink ``y > k``
+    of an edge whose source lies in ``i..k``, or ``n`` if none: an edge
+    crosses the partition ``i..k | k+1..j`` exactly when
+    ``first_cross[i][k] <= j``.  ``min_sink[i]`` is the smallest sink of
+    an edge whose source is ``>= i``: the range ``i..j`` holds no edge
+    exactly when ``min_sink[i] > j``.  A row whose node is no edge source
+    is the row below it (entry ``i`` of that row is never written).
+    """
     succs: List[List[int]] = [[] for _ in range(n)]
     for x, y in edges:
         succs[x].append(y)
-    for lst in succs:
-        lst.sort()
-
-    def min_succ_gt(x: int, k: int) -> int:
-        lst = succs[x]
-        pos = bisect_right(lst, k)
-        return lst[pos] if pos < len(lst) else n
-
-    table = [[n] * n for _ in range(n)]
-    for k in range(n):
-        best = n
-        for i in range(k, -1, -1):
-            cand = min_succ_gt(i, k)
-            if cand < best:
-                best = cand
-            table[i][k] = best
-    return table
+    first_cross: List[List[int]] = [[]] * n
+    min_sink = [n] * n
+    row = [n] * n
+    lowest = n
+    for i in range(n - 1, -1, -1):
+        succ = sorted(succs[i])
+        if succ:
+            row = row[:]
+            pos = 0
+            for k in range(i, succ[-1]):
+                while succ[pos] <= k:
+                    pos += 1
+                if succ[pos] < row[k]:
+                    row[k] = succ[pos]
+            if succ[0] < lowest:
+                lowest = succ[0]
+        first_cross[i] = row
+        min_sink[i] = lowest
+    return first_cross, min_sink
 
 
 def solve_placement(times: Sequence[int], is_async: Sequence[bool],
@@ -87,6 +105,8 @@ def solve_placement(times: Sequence[int], is_async: Sequence[bool],
     ``valid(i, k)`` answers whether a finish may wrap nodes ``i..k``
     (0-based, inclusive) without capturing node ``i-1`` or ``k+1``;
     defaults to always-true (pure graph problems, used heavily in tests).
+    Each ``(i, k)`` is asked at most once, and only for a partition that
+    some edge crosses.
     """
     n = len(times)
     if n == 0:
@@ -99,82 +119,98 @@ def solve_placement(times: Sequence[int], is_async: Sequence[bool],
         if not is_async[x]:
             raise RepairError(f"edge source {x} is not an async node")
 
-    if valid is None:
-        valid = lambda i, k: True  # noqa: E731 - trivial default
-    valid_cache: Dict[Tuple[int, int], bool] = {}
+    first_cross, min_sink = _edge_tables(n, edges)
 
-    def is_valid(i: int, k: int) -> bool:
-        key = (i, k)
-        cached = valid_cache.get(key)
-        if cached is None:
-            cached = valid(i, k)
-            valid_cache[key] = cached
-        return cached
-
-    first_cross = _first_cross_table(n, edges)
-
+    # opt/est_after by row, plus column-major copies (opt_col[j][k] is
+    # opt[k][j]) so the partition loop reads the right part as a list.
     opt = [[INF] * n for _ in range(n)]
     est_after = [[INF] * n for _ in range(n)]
+    opt_col = [[INF] * n for _ in range(n)]
+    est_col = [[INF] * n for _ in range(n)]
     part = [[-1] * n for _ in range(n)]
     fin = [[False] * n for _ in range(n)]
+    # VALID answers, asked lazily (None = not asked yet).
+    valid_memo = [[True if valid is None else None] * n for _ in range(n)]
 
     for i in range(n):
-        opt[i][i] = times[i]
-        est_after[i][i] = 0 if is_async[i] else times[i]
+        opt[i][i] = opt_col[i][i] = times[i]
+        est_after[i][i] = est_col[i][i] = 0 if is_async[i] else times[i]
         part[i][i] = i
 
+    edge_free = 0
     for s in range(2, n + 1):
         for i in range(n - s + 1):
             j = i + s - 1
-            best_c = INF
-            best_e = INF
-            best_k = -1
-            best_f = False
-            row_fc = first_cross[i]
-            for k in range(i, j):
-                left_opt = opt[i][k]
-                right_opt = opt[k + 1][j]
-                if left_opt == INF or right_opt == INF:
-                    continue
-                if row_fc[k] > j:
-                    # No dependence crosses the partition: no finish.
-                    c = left_opt
-                    alt = est_after[i][k] + right_opt
-                    if alt > c:
-                        c = alt
-                    e = est_after[i][k] + est_after[k + 1][j]
-                    f = False
-                elif is_valid(i, k):
-                    # A finish around i..k satisfies the crossing edges.
-                    c = left_opt + right_opt
-                    e = left_opt + est_after[k + 1][j]
-                    f = True
-                else:
-                    continue
-                if c < best_c or (c == best_c and e < best_e):
-                    best_c, best_e, best_k, best_f = c, e, k, f
-            opt[i][j] = best_c
-            est_after[i][j] = best_e
+            opt_i = opt[i]
+            est_i = est_after[i]
+            opt_j = opt_col[j]
+            est_j = est_col[j]
+            if min_sink[i] > j:
+                # Edge-free range (DESIGN.md §5): every partition yields
+                # the same cost and EST, so the first one, k = i, wins.
+                edge_free += 1
+                best_c = est_i[i] + opt_j[i + 1]
+                if opt_i[i] > best_c:
+                    best_c = opt_i[i]
+                best_e = est_i[i] + est_j[i + 1]
+                best_k = i
+                best_f = False
+            else:
+                best_c = INF
+                best_e = INF
+                best_k = -1
+                best_f = False
+                row_fc = first_cross[i]
+                valid_i = valid_memo[i]
+                for k in range(i, j):
+                    left_opt = opt_i[k]
+                    right_opt = opt_j[k + 1]
+                    if left_opt == INF or right_opt == INF:
+                        continue
+                    if row_fc[k] > j:
+                        # No dependence crosses the partition: no finish.
+                        c = left_opt
+                        alt = est_i[k] + right_opt
+                        if alt > c:
+                            c = alt
+                        e = est_i[k] + est_j[k + 1]
+                        f = False
+                    else:
+                        ok = valid_i[k]
+                        if ok is None:
+                            ok = valid_i[k] = bool(valid(i, k))
+                        if not ok:
+                            continue
+                        # A finish around i..k satisfies the crossing edges.
+                        c = left_opt + right_opt
+                        e = left_opt + est_j[k + 1]
+                        f = True
+                    if c < best_c or (c == best_c and e < best_e):
+                        best_c, best_e, best_k, best_f = c, e, k, f
+            opt_i[j] = opt_j[i] = best_c
+            est_i[j] = est_j[i] = best_e
             part[i][j] = best_k
             fin[i][j] = best_f
+    telemetry.counter("repair.dp_cells", n * (n - 1) // 2)
+    telemetry.counter("repair.dp_cells_edge_free", edge_free)
 
     if opt[0][n - 1] == INF:
         return None
 
+    # Algorithm 3 (FIND), with the off-by-one in the paper's listing
+    # corrected: the right subproblem is p+1..end.  Iterative, so no
+    # self-referencing closure keeps the tables alive until a GC pass.
     finishes: List[Tuple[int, int]] = []
-
-    def find(begin: int, end: int) -> None:
-        """Algorithm 3 (FIND), with the off-by-one in the paper's listing
-        corrected: the right subproblem is ``p+1..end``."""
+    pending = [(0, n - 1)]
+    while pending:
+        begin, end = pending.pop()
         if begin >= end:
-            return
+            continue
         p = part[begin][end]
-        find(begin, p)
-        find(p + 1, end)
         if fin[begin][end]:
             finishes.append((begin, p))
-
-    find(0, n - 1)
+        pending.append((begin, p))
+        pending.append((p + 1, end))
     return PlacementSolution(opt[0][n - 1], finishes, est_after[0][n - 1])
 
 

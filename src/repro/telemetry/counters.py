@@ -6,10 +6,11 @@ already maintain their own plain-int aggregates on the hot paths (the
 interpreter's op count, ``EspBagsDetector.monitored_accesses``,
 ``BagManager.unions``, the S-DPST builder's node counter), and the phase
 boundaries in :mod:`repro.races.detect` / :mod:`repro.races.replay` /
-:mod:`repro.repair.engine` copy those totals into the active session's
-counters once per phase.  The per-access observer path therefore makes
-**zero** telemetry calls — enabled or not — which is what keeps tier-1
-overhead negligible (see DESIGN.md, "Telemetry").
+:mod:`repro.repair.engine` / :mod:`repro.repair.placement` copy those
+totals into the active session's counters once per phase.  The
+per-access observer path therefore makes **zero** telemetry calls —
+enabled or not — which is what keeps tier-1 overhead negligible (see
+DESIGN.md, "Telemetry").
 
 Canonical counter names used by the pipeline:
 
@@ -25,6 +26,8 @@ Canonical counter names used by the pipeline:
 ``repair.iterations``          detect/place/edit rounds executed
 ``repair.edits``               finish insertion points applied
 ``repair.replay_fallbacks``    replays abandoned for re-execution
+``repair.dp_cells``            placement-DP cells filled (ranges of 2+)
+``repair.dp_cells_edge_free``  of those, cells with no edge inside (O(1))
 ``incremental.checkpoints``    detector-state checkpoints captured
 ``incremental.hits``           replays served by the MRW fast path
 ``incremental.resumes``        replays resumed from a checkpoint (SRW)

@@ -1,12 +1,17 @@
 """Dependence-graph construction from NS-LCA subtrees (Section 5.1)."""
 
+import random
+
 import pytest
 
+from repro.bench import get_benchmark
 from repro.dpst import ASYNC, STEP
 from repro.errors import RepairError
+from repro.lang import strip_finishes
 from repro.races import detect_races
 from repro.repair.dependence import (
     DepNode,
+    DependenceGraph,
     build_dependence_graph,
     group_races_by_nslca,
 )
@@ -175,3 +180,39 @@ class TestDepNode:
         assert node.dpst is node.first
         assert not graph.nodes[0].is_async or \
             graph.nodes[0].first.kind == ASYNC
+
+
+def scanned_sinks(edges, i, k):
+    """The covered-sink set by a scan over every edge."""
+    return sorted({y for x, y in edges if i <= x <= k < y})
+
+
+def assert_covered_sinks_match_scan(graph):
+    for i in range(graph.size):
+        for k in range(i, graph.size):
+            assert graph.covered_sinks(i, k) == \
+                scanned_sinks(graph.edges, i, k), (i, k)
+
+
+class TestCoveredSinks:
+    @pytest.mark.parametrize("name", ["mergesort", "lufact"])
+    def test_matches_edge_scan_on_benchmark_graphs(self, name):
+        spec = get_benchmark(name)
+        det = detect_races(strip_finishes(spec.parse()), spec.test_args)
+        groups = group_races_by_nslca(det.dpst,
+                                      det.report.distinct_step_pairs())
+        span_cache = {}
+        graphs = [build_dependence_graph(det.dpst, nslca, pairs, span_cache)
+                  for nslca, pairs in groups.items()]
+        assert any(len(graph.edges) > 1 for graph in graphs)
+        for graph in graphs:
+            assert_covered_sinks_match_scan(graph)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_edge_scan_on_random_graphs(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 30)
+        edges = sorted({(x, rng.randint(x + 1, n - 1))
+                        for x in range(n - 1) if rng.random() < 0.4})
+        assert_covered_sinks_match_scan(
+            DependenceGraph(None, [None] * n, edges))

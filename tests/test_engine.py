@@ -193,13 +193,6 @@ class TestRepairProperties:
         assert result.total_races_found == 2
         assert "converged" in result.summary()
 
-    def test_trace_roundtrip_equivalence(self, figure7_source):
-        with_trace = repair_program(build(figure7_source),
-                                    trace_roundtrip=True)
-        without = repair_program(build(figure7_source),
-                                 trace_roundtrip=False)
-        assert with_trace.repaired_source == without.repaired_source
-
 
 class TestSrwMode:
     def test_srw_repairs_with_confirming_run(self, figure7_source):

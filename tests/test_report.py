@@ -1,5 +1,7 @@
 """Race report objects and the JSON trace-file round trip."""
 
+from repro.bench import get_benchmark
+from repro.lang import strip_finishes
 from repro.races import RaceReport, addr_to_str, detect_races, merge_reports
 from tests.conftest import build
 
@@ -60,6 +62,19 @@ class TestTraceRoundTrip:
         originals = {(r.source.index, r.sink.index) for r in report}
         parsed = {(row["source_step"], row["sink_step"]) for row in rows}
         assert originals == parsed
+
+    def test_trace_rows_read_back_distinct_step_pairs(self):
+        # The trace file keeps the detection order and the step indices,
+        # so reading it back yields distinct_step_pairs() in order.
+        spec = get_benchmark("mergesort")
+        det = detect_races(strip_finishes(spec.parse()), spec.test_args)
+        rows = RaceReport.trace_rows(det.report.to_trace_json())
+        read_back = list(dict.fromkeys(
+            (row["source_step"], row["sink_step"]) for row in rows))
+        pairs = det.report.distinct_step_pairs()
+        assert len(pairs) > 1 and len(rows) > len(pairs)
+        assert read_back == [(source.index, sink.index)
+                             for source, sink in pairs]
 
     def test_trace_rows_rejects_bad_version(self):
         import json

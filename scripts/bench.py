@@ -6,15 +6,7 @@ Phases, per benchmark program:
 * ``execute`` — a plain uninstrumented run (the Table-3 baseline),
   under both execution engines.
 * ``detect``  — full race detection (execution + S-DPST construction +
-  ESP-bags) on the finish-stripped variant, under both engines (on the
-  process-default detection core).
-* ``arraycore`` — detection-core comparison on the finish-stripped
-  variant (compiled engine): the object core vs the array core with the
-  stdlib batch filter (``REPRO_NUMPY=0``) vs the array core with the
-  numpy batch filter (``REPRO_NUMPY=1``).  Each cell also records a
-  normalized race-report digest; the three cells of a (program,
-  detector) pair must be identical (the script exits nonzero
-  otherwise — the bench doubles as a differential gate).
+  ESP-bags) on the finish-stripped variant, under both engines.
 * ``repair``  — the end-to-end repair loop (Table-2 style), with the
   trace-replay fast path on vs off.  Replay records iteration 0 and
   re-detects iterations 1..k and the confirming run from the trace
@@ -25,8 +17,9 @@ Phases, per benchmark program:
   ``stress-*`` workloads whose nested unsynchronized asyncs force the
   engine through 2-3 repair iterations — the case replay exists for.
 * ``repair-incremental`` — the same repair loop with replay pinned on,
-  comparing incremental re-detection (checkpointed array-core replay
-  that re-scans only the edited region) against full-trace replay.
+  comparing incremental re-detection (the MRW row transform over a
+  structure-only replay, which re-scans no access) against full-trace
+  replay; SRW repairs have no incremental path, so both modes coincide.
   Each cell records the ``incremental.*`` telemetry counters, so the
   summary can report the re-scanned window fraction
   (``window_events / events_total``) next to the per-iteration
@@ -86,20 +79,13 @@ from repro.bench.suite import BENCHMARK_ORDER, get_benchmark  # noqa: E402
 
 DETECTORS = ("mrw", "srw")
 ENGINES = ("tree", "compiled")
-PHASES = ("execute", "detect", "arraycore", "repair", "repair-incremental",
-          "batch", "service-queue")
+PHASES = ("execute", "detect", "repair", "repair-incremental", "batch",
+          "service-queue")
 BATCH_WORKERS = (1, 2, 4, 8)
 #: node-process counts for the ``service-queue`` phase (1 vs 2 nodes
 #: draining one durable queue, each with this many pool workers).
 QUEUE_NODES = (1, 2)
 QUEUE_NODE_WORKERS = 2
-#: detection-core cells of the ``arraycore`` phase: label -> (core
-#: argument for detect_races, REPRO_NUMPY environment value).
-CORE_CELLS = {
-    "object": ("object", "0"),
-    "array": ("array", "0"),
-    "array-numpy": ("array", "1"),
-}
 
 # ----------------------------------------------------------------------
 # Multi-iteration repair workloads.
@@ -367,42 +353,6 @@ def _measure_child(options: argparse.Namespace) -> int:
         }
         print(json.dumps(record))
         return 0
-    if options.phase == "arraycore":
-        from repro.lang import strip_finishes
-        from repro.races import detect_races
-
-        core, numpy_env = CORE_CELLS[options.core]
-        os.environ["REPRO_NUMPY"] = numpy_env
-        spec = get_benchmark(options.program)
-        args = spec.test_args if options.args == "test" \
-            else spec.repair_args
-        program = strip_finishes(spec.parse())
-        with telemetry.session("bench:arraycore") as tel:
-            result = detect_races(program, args,
-                                  algorithm=options.detector, core=core)
-        # Normalized report signature (addresses renamed to first-seen
-        # order): the driver requires all cells of one (program,
-        # detector) pair to agree, making the bench a differential gate.
-        names: dict = {}
-        sig = []
-        for race in result.report:
-            owner = names.setdefault((race.addr[0], race.addr[1]),
-                                     len(names))
-            sig.append((race.kind,
-                        (race.addr[0], owner) + tuple(race.addr[2:]),
-                        race.source.index, race.sink.index,
-                        race.source_task, race.sink_task))
-        record = {"wall_time_s": _session_wall_s(tel),
-                  "ops": result.execution.ops,
-                  "monitored_accesses":
-                      result.detector.monitored_accesses,
-                  "races": result.race_count,
-                  "dpst_nodes": result.dpst_node_count,
-                  "report_sha256": hashlib.sha256(
-                      repr(sig).encode("utf-8")).hexdigest(),
-                  "phases": _session_phases(tel)}
-        print(json.dumps(record))
-        return 0
     spec = get_benchmark(options.program)
     args = spec.test_args if options.args == "test" else spec.repair_args
     program = spec.parse()
@@ -469,25 +419,6 @@ def _run_cell(program: str, phase: str, engine: str, detector: str,
     if "ops" in best:
         row["ops_per_sec"] = round(best["ops"] / wall) if wall > 0 else None
     row["wall_time_s"] = round(wall, 4)
-    return row
-
-
-def _run_core_cell(program: str, detector: str, core: str,
-                   args_kind: str, trials: int) -> dict:
-    """Best-of-N fresh-process detection runs of one core cell."""
-    cmd = [sys.executable, os.path.abspath(__file__), "--_measure",
-           "--program", program, "--phase", "arraycore",
-           "--detector", detector, "--core", core, "--args", args_kind]
-    best = None
-    for _ in range(trials):
-        out = subprocess.run(cmd, capture_output=True, text=True, check=True)
-        record = json.loads(out.stdout.strip().splitlines()[-1])
-        if best is None or record["wall_time_s"] < best["wall_time_s"]:
-            best = record
-    row = {"program": program, "phase": "arraycore", "detector": detector,
-           "core": core, "args": args_kind}
-    row.update(best)
-    row["wall_time_s"] = round(row["wall_time_s"], 4)
     return row
 
 
@@ -653,46 +584,6 @@ def _speedup_summary(rows: list) -> dict:
     return summary
 
 
-def _arraycore_summary(rows: list) -> dict:
-    """Object-core vs array-core comparison per detector, plus the
-    bit-identical-report invariant the driver enforces."""
-    cells = {}
-    for row in rows:
-        if row["phase"] != "arraycore":
-            continue
-        key = (row["program"], row["detector"])
-        cells.setdefault(key, {})[row["core"]] = row
-    per_detector = {}
-    for (program, detector), by_core in sorted(cells.items()):
-        if "object" not in by_core:
-            continue
-        base = by_core["object"]["wall_time_s"]
-        entry = {"object_ms": round(base * 1000.0, 1),
-                 "reports_match": len({r["report_sha256"]
-                                       for r in by_core.values()}) == 1}
-        for core in ("array", "array-numpy"):
-            row = by_core.get(core)
-            if row and row["wall_time_s"] > 0:
-                entry[f"{core}_ms"] = round(row["wall_time_s"] * 1000.0, 1)
-                entry[f"{core}_speedup"] = round(
-                    base / row["wall_time_s"], 2)
-        per_detector.setdefault(detector, {})[program] = entry
-    summary = {}
-    for detector, per_program in per_detector.items():
-        block = {"per_program": per_program,
-                 "all_reports_match": all(e["reports_match"]
-                                          for e in per_program.values())}
-        for core in ("array", "array-numpy"):
-            speedups = [e[f"{core}_speedup"]
-                        for e in per_program.values()
-                        if f"{core}_speedup" in e]
-            if speedups:
-                block[f"median_speedup_{core.replace('-', '_')}"] = \
-                    round(statistics.median(speedups), 2)
-        summary[f"arraycore_{detector}"] = block
-    return summary
-
-
 def _repair_summary(rows: list) -> dict:
     """Replay-off / replay-on comparison per (program, detector).
 
@@ -787,10 +678,8 @@ def _incremental_summary(rows: list) -> dict:
             if on["repair_time_s"] > 0 else None,
             "window_fraction": round(window / total, 4) if total else None,
             "incremental_hits": counters.get("incremental.hits", 0),
-            "incremental_resumes": counters.get("incremental.resumes", 0),
             "incremental_fallbacks": counters.get(
                 "incremental.fallbacks", 0),
-            "checkpoints": counters.get("incremental.checkpoints", 0),
             "repaired_source_matches":
                 on["repaired_sha256"] == off["repaired_sha256"],
         }
@@ -847,7 +736,6 @@ def main(argv=None) -> int:
     parser.add_argument("--replay", default="off", help=argparse.SUPPRESS)
     parser.add_argument("--incremental", default="default",
                         help=argparse.SUPPRESS)
-    parser.add_argument("--core", default="object", help=argparse.SUPPRESS)
     parser.add_argument("--workers", type=int, default=1,
                         help=argparse.SUPPRESS)
     parser.add_argument("--cache", default="off", help=argparse.SUPPRESS)
@@ -882,18 +770,6 @@ def main(argv=None) -> int:
                     print(f"{program:14s} {label:12s} {engine:8s} "
                           f"{row['wall_time_s'] * 1000:9.1f} ms  "
                           f"{row['ops_per_sec'] or 0:>12,} ops/s",
-                          file=sys.stderr)
-    if "arraycore" in options.phases:
-        for program in programs:
-            for detector in options.detectors:
-                for core in CORE_CELLS:
-                    row = _run_core_cell(program, detector, core,
-                                         args_kind, trials)
-                    rows.append(row)
-                    print(f"{program:14s} arraycore[{detector}] "
-                          f"{core:12s} "
-                          f"{row['wall_time_s'] * 1000:9.1f} ms  "
-                          f"{row['races']} race(s)",
                           file=sys.stderr)
     if "repair" in options.phases:
         for program in repair_programs:
@@ -954,7 +830,6 @@ def main(argv=None) -> int:
                       file=sys.stderr)
 
     summary = _speedup_summary(rows)
-    summary.update(_arraycore_summary(rows))
     summary.update(_repair_summary(rows))
     summary.update(_incremental_summary(rows))
     summary.update(_batch_summary(rows))
@@ -963,12 +838,10 @@ def main(argv=None) -> int:
         "meta": {
             "suite": "Table 1 (paper benchmark programs) plus stress-* "
                      "multi-iteration repair workloads; execute = original "
-                     "program, detect/arraycore/repair = finish-stripped "
-                     "(racy) variant as in the repair loop; arraycore = "
-                     "object core vs array core (stdlib and numpy batch "
-                     "filters) on the compiled engine; repair-incremental "
-                     "= replay-on repair with incremental re-detection "
-                     "off vs on; batch = the student "
+                     "program, detect/repair = finish-stripped (racy) "
+                     "variant as in the repair loop; repair-incremental = "
+                     "replay-on repair with incremental re-detection off "
+                     "vs on; batch = the student "
                      "corpus (repro.bench.students) through the worker "
                      "pool at 1/2/4/8 workers, cache off/on; "
                      "service-queue = the same corpus through the "
@@ -997,16 +870,6 @@ def main(argv=None) -> int:
         if "median_speedup" in data:
             print(f"median speedup (compiled vs tree) {config}: "
                   f"{data['median_speedup']}x", file=sys.stderr)
-        if config.startswith("arraycore_"):
-            print(f"median detect speedup (array core vs object core) "
-                  f"{config}: stdlib="
-                  f"{data.get('median_speedup_array')}x, numpy="
-                  f"{data.get('median_speedup_array_numpy')}x",
-                  file=sys.stderr)
-            if not data["all_reports_match"]:
-                failures.append(
-                    f"{config}: array-core and object-core race "
-                    "reports differ")
         if config.startswith("repair_"):
             print(f"median repair speedup (replay vs re-execution) "
                   f"{config}: {data['median_repair_speedup']}x; "

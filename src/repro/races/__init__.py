@@ -6,7 +6,7 @@ from .arraycore import (
     run_arraycore,
 )
 from .bags import BagManager, P_BAG, S_BAG
-from .detect import CORES, DetectionResult, default_core, detect_races
+from .detect import DetectionResult, detect_races
 from .esp import (
     EspBagsDetector,
     MrwEspBagsDetector,
@@ -35,8 +35,6 @@ __all__ = [
     "ArrayMrwDetector",
     "ArraySrwDetector",
     "run_arraycore",
-    "CORES",
-    "default_core",
     "DetectionResult",
     "detect_races",
     "replay_detection",

@@ -36,23 +36,17 @@ chains of later-inserted ``finish`` statements).
 **Equivalence contract.**  For any trace the core's
 :class:`~repro.races.report.RaceReport` (race order, step indices, AST
 nodes, task ids, addresses) and materialized S-DPST are bit-identical to
-the object engine's, for both the MRW and SRW variants.  The dedup and
-fingerprint filters only ever skip work whose outcome is provable from
-the clock invariant; ``tests/test_arraycore.py`` enforces this
-differentially over the bench and student corpora.
-
-**Numpy.**  When numpy is importable, the per-segment duplicate filter
-is computed in one whole-trace batch pass (``REPRO_NUMPY=1`` forces it,
-``REPRO_NUMPY=0`` disables it, unset auto-detects and engages it above a
-size threshold).  The numpy and stdlib filters are semantically
-identical — reports cannot differ — and the stdlib path has no import
-requirement at all.
+the object reference's (``DpstBuilder`` + :mod:`repro.races.esp`, which
+``detect_races`` runs for a caller-supplied ``detector=``), for both the
+MRW and SRW variants.  The dedup and fingerprint filters only ever skip
+work whose outcome is provable from the clock invariant;
+``tests/test_arraycore.py`` enforces this differentially over the bench
+and student corpora.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..dpst.nodes import ASYNC, FINISH, SCOPE, STEP, DpstNode
@@ -78,97 +72,6 @@ _KIND_NAMES = ("W->R", "W->W", "R->W")
 _W_R, _W_W, _R_W = 0, 1, 2
 
 _EMPTY: Tuple = ()
-
-#: below this many accesses the stdlib duplicate filter wins on constant
-#: factors; ``REPRO_NUMPY=1`` overrides (used by the differential tests).
-_NUMPY_AUTO_THRESHOLD = 4096
-
-
-def numpy_mode() -> str:
-    """The configured numpy policy: ``"on"``, ``"off"`` or ``"auto"``."""
-    env = os.environ.get("REPRO_NUMPY", "").strip().lower()
-    if env in ("0", "off", "false", "no"):
-        return "off"
-    if env in ("1", "on", "true", "yes"):
-        return "on"
-    return "auto"
-
-
-#: cached numpy module: ``False`` = import not yet attempted.
-_np_module: Any = False
-
-
-def _numpy_module():
-    global _np_module
-    if _np_module is False:
-        try:
-            import numpy
-            _np_module = numpy
-        except ImportError:  # pragma: no cover - depends on environment
-            _np_module = None
-    return _np_module
-
-
-def warm_numpy() -> None:
-    """Trigger (and cache) the numpy import, unless disabled.
-
-    ``detect_races`` calls this before it opens the timed detection
-    spans so a cold process does not charge the import to the first
-    measured detection."""
-    if numpy_mode() != "off":
-        _numpy_module()
-
-
-def _numpy_for(n_accesses: int):
-    """The numpy module to use for a trace of ``n_accesses``, or ``None``
-    for the stdlib path.  Forcing via ``REPRO_NUMPY=1`` still degrades
-    gracefully to stdlib when numpy is not importable."""
-    mode = numpy_mode()
-    if mode == "off":
-        return None
-    if mode == "auto" and n_accesses < _NUMPY_AUTO_THRESHOLD:
-        return None
-    return _numpy_module()
-
-
-def _dup_mask_for(trace: "ExecutionTrace") -> Optional[bytes]:
-    """The numpy duplicate mask for ``trace`` (or ``None`` for the stdlib
-    stamp-dict path), cached on the trace: the mask depends only on the
-    recorded segments, not on injected finishes, so every replay
-    iteration over one trace shares a single computation."""
-    np = _numpy_for(len(trace.acodes))
-    if np is None:
-        return None
-    cache = trace.replay_cache()
-    mask = cache.get("dup_mask")
-    if mask is None:
-        mask = cache["dup_mask"] = _dup_mask_numpy(
-            np, trace.starts, len(trace.kinds), trace.acodes)
-    return mask
-
-
-def _dup_mask_numpy(np, starts: List[int], n_events: int,
-                    acodes: List[int]) -> bytes:
-    """Batch duplicate filter: ``mask[i] == 1`` iff access ``i`` repeats
-    an earlier ``(segment, code)`` pair.  One vectorized pass replaces
-    the per-access stamp-dict of the stdlib path.  (Unpacking aid /
-    is-write streams here too was tried and lost: materializing two
-    million-element Python lists costs more than the two int ops per
-    access they replace.)"""
-    n = len(acodes)
-    if n == 0:
-        return b""
-    codes = np.array(acodes, dtype=np.int64)
-    bounds = np.empty(n_events + 1, dtype=np.int64)
-    bounds[:n_events] = starts
-    bounds[n_events] = n
-    seg = np.repeat(np.arange(n_events, dtype=np.int64),
-                    np.diff(bounds))
-    key = seg * (int(codes.max()) + 1) + codes
-    first = np.unique(key, return_index=True)[1]
-    mask = np.ones(n, dtype=np.uint8)
-    mask[first] = 0
-    return mask.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -363,10 +266,8 @@ class _ArrayDetectorBase:
         self._race_rows: List[Tuple[int, int, int, int, int, int, int,
                                     int]] = []
         self._race_keys = set()
-        #: per-access stamp dict for the stdlib duplicate filter.
+        #: per-access stamp dict for the within-segment duplicate filter.
         self._seen: Dict[int, int] = {}
-        #: numpy-computed duplicate mask (bytes), or None for stdlib.
-        self._dup: Optional[bytes] = None
         self.monitored_accesses = 0
 
     def build_report(self, arrays: "_DpstArrays") -> RaceReport:
@@ -394,19 +295,6 @@ class _ArrayDetectorBase:
     @property
     def race_row_count(self) -> int:
         return len(self._race_rows)
-
-    def _base_snapshot(self) -> tuple:
-        # Rows are append-only during a scan, so the snapshot keeps a
-        # reference plus a cursor instead of copying them; the dedup
-        # structures are mutated in place and must be copied.
-        return (dict(self._seen), set(self._race_keys),
-                self._race_rows, len(self._race_rows))
-
-    def _restore_base(self, snap: tuple) -> None:
-        seen, keys, rows_src, rows_len = snap
-        self._seen = dict(seen)
-        self._race_keys = set(keys)
-        self._race_rows = list(rows_src[:rows_len])
 
 
 class ArrayMrwDetector(_ArrayDetectorBase):
@@ -448,31 +336,6 @@ class ArrayMrwDetector(_ArrayDetectorBase):
                          self._w_rcount[aid]]
         return out
 
-    def snapshot(self) -> tuple:
-        """Copy the complete detector state for a resumable checkpoint
-        (summary dicts, clean-scan fingerprints, dedup state, race-row
-        cursor).  ``restore_snapshot`` on a fresh detector reproduces
-        the exact mid-scan state, bit for bit."""
-        return ("mrw",
-                [None if d is None else dict(d) for d in self._writers],
-                [None if d is None else dict(d) for d in self._readers],
-                self._r_clock[:], self._r_wcount[:],
-                self._w_clock[:], self._w_wcount[:], self._w_rcount[:],
-                self._base_snapshot())
-
-    def restore_snapshot(self, snap: tuple) -> None:
-        tag, writers, readers, rc, rwc, wc, wwc, wrc, base = snap
-        if tag != "mrw":  # pragma: no cover - defensive
-            raise ValueError(f"snapshot is {tag!r}, detector is mrw")
-        self._writers = [None if d is None else dict(d) for d in writers]
-        self._readers = [None if d is None else dict(d) for d in readers]
-        self._r_clock = list(rc)
-        self._r_wcount = list(rwc)
-        self._w_clock = list(wc)
-        self._w_wcount = list(wwc)
-        self._w_rcount = list(wrc)
-        self._restore_base(base)
-
     def make_segment(self):
         """Build the per-segment transition function, with all detector
         state bound once in the closure — segments are numerous and
@@ -496,96 +359,17 @@ class ArrayMrwDetector(_ArrayDetectorBase):
         is_parallel = bags.is_parallel
         keys = self._race_keys
         rows = self._race_rows
-        dup = self._dup
-        # Two copies of the transition loop: the numpy variant reads the
-        # precomputed duplicate mask; the stdlib variant stamps a dict.
         # The race recording is inlined at each scan site (it is the
         # innermost hot code on racy programs).
-        if dup is None:
-            acodes = self._acodes
-            seen = self._seen
-            def segment(lo, hi, step, task):
-                clock = bags.clock
-                for i in range(lo, hi):
-                    code = acodes[i]
-                    if seen.get(code) == lo:
-                        continue
-                    seen[code] = lo
-                    aid = code >> 1
-                    if code & 1:  # ---- write ----
-                        writers = writers_l[aid]
-                        readers = readers_l[aid]
-                        if writers is not None or readers is not None:
-                            nw = 0 if writers is None else len(writers)
-                            nr = 0 if readers is None else len(readers)
-                            if wc[aid] != clock or wwc[aid] != nw \
-                                    or wrc[aid] != nr:
-                                clean = True
-                                if writers is not None:
-                                    for wt, rep in writers.items():
-                                        if is_parallel(wt):
-                                            ps = rep[1]
-                                            key = (ps, step, aid, _W_W)
-                                            if key not in keys:
-                                                keys.add(key)
-                                                rows.append(
-                                                    (rep[0], ps, wt, i, step,
-                                                     task, aid, _W_W))
-                                            clean = False
-                                if readers is not None:
-                                    for rt, rep in readers.items():
-                                        if is_parallel(rt):
-                                            ps = rep[1]
-                                            key = (ps, step, aid, _R_W)
-                                            if key not in keys:
-                                                keys.add(key)
-                                                rows.append(
-                                                    (rep[0], ps, rt, i, step,
-                                                     task, aid, _R_W))
-                                            clean = False
-                                if clean:
-                                    wc[aid] = clock
-                                    wwc[aid] = nw
-                                    wrc[aid] = nr
-                                else:
-                                    wc[aid] = -1
-                        if writers is None:
-                            writers_l[aid] = {task: (i, step)}
-                        elif task not in writers:
-                            writers[task] = (i, step)
-                    else:  # ---- read ----
-                        writers = writers_l[aid]
-                        if writers is not None:
-                            if rc[aid] != clock or rwc[aid] != len(writers):
-                                clean = True
-                                for wt, rep in writers.items():
-                                    if is_parallel(wt):
-                                        ps = rep[1]
-                                        key = (ps, step, aid, _W_R)
-                                        if key not in keys:
-                                            keys.add(key)
-                                            rows.append(
-                                                (rep[0], ps, wt, i, step,
-                                                 task, aid, _W_R))
-                                        clean = False
-                                if clean:
-                                    rc[aid] = clock
-                                    rwc[aid] = len(writers)
-                                else:
-                                    rc[aid] = -1
-                        readers = readers_l[aid]
-                        if readers is None:
-                            readers_l[aid] = {task: (i, step)}
-                        elif task not in readers:
-                            readers[task] = (i, step)
-            return segment
         acodes = self._acodes
+        seen = self._seen
         def segment(lo, hi, step, task):
             clock = bags.clock
             for i in range(lo, hi):
-                if dup[i]:
-                    continue
                 code = acodes[i]
+                if seen.get(code) == lo:
+                    continue
+                seen[code] = lo
                 aid = code >> 1
                 if code & 1:  # ---- write ----
                     writers = writers_l[aid]
@@ -653,9 +437,9 @@ class ArrayMrwDetector(_ArrayDetectorBase):
                         readers_l[aid] = {task: (i, step)}
                     elif task not in readers:
                         readers[task] = (i, step)
-
-
         return segment
+
+
 class ArraySrwDetector(_ArrayDetectorBase):
     """SRW ESP-bags over int streams: one writer / one reader slot per
     location, stored across parallel flat arrays.
@@ -700,30 +484,6 @@ class ArraySrwDetector(_ArrayDetectorBase):
                          self._r_clock[aid]]
         return out
 
-    def snapshot(self) -> tuple:
-        """See :meth:`ArrayMrwDetector.snapshot`; SRW state is the eight
-        flat occupant/fingerprint arrays plus the shared base state."""
-        return ("srw",
-                self._w_task[:], self._w_ord[:], self._w_step[:],
-                self._w_clock[:],
-                self._r_task[:], self._r_ord[:], self._r_step[:],
-                self._r_clock[:],
-                self._base_snapshot())
-
-    def restore_snapshot(self, snap: tuple) -> None:
-        (tag, wt, wo, ws, wc, rt, ro, rs, rc, base) = snap
-        if tag != "srw":  # pragma: no cover - defensive
-            raise ValueError(f"snapshot is {tag!r}, detector is srw")
-        self._w_task = list(wt)
-        self._w_ord = list(wo)
-        self._w_step = list(ws)
-        self._w_clock = list(wc)
-        self._r_task = list(rt)
-        self._r_ord = list(ro)
-        self._r_step = list(rs)
-        self._r_clock = list(rc)
-        self._restore_base(base)
-
     def make_segment(self):
         """Build the per-segment transition function — see
         :meth:`ArrayMrwDetector.make_segment` for the closure rationale;
@@ -741,81 +501,16 @@ class ArraySrwDetector(_ArrayDetectorBase):
         is_parallel = bags.is_parallel
         keys = self._race_keys
         rows = self._race_rows
-        dup = self._dup
-        # As in the MRW core: one loop per filter source (stamp dict vs
-        # precomputed numpy streams), race recording inlined.
-        if dup is None:
-            acodes = self._acodes
-            seen = self._seen
-            def segment(lo, hi, step, task):
-                clock = bags.clock
-                for i in range(lo, hi):
-                    code = acodes[i]
-                    aid = code >> 1
-                    if seen.get(code) == lo:
-                        # Duplicate: only the occupant replacement survives.
-                        if code & 1:
-                            w_task[aid] = task
-                            w_ord[aid] = i
-                            w_step[aid] = step
-                        elif r_clock[aid] == clock:
-                            r_task[aid] = task
-                            r_ord[aid] = i
-                            r_step[aid] = step
-                        continue
-                    seen[code] = lo
-                    if code & 1:  # ---- write ----
-                        wt = w_task[aid]
-                        if wt >= 0 and w_clock[aid] != clock \
-                                and is_parallel(wt):
-                            ps = w_step[aid]
-                            key = (ps, step, aid, _W_W)
-                            if key not in keys:
-                                keys.add(key)
-                                rows.append((w_ord[aid], ps, wt, i, step,
-                                             task, aid, _W_W))
-                        rt = r_task[aid]
-                        if rt >= 0 and r_clock[aid] != clock:
-                            if is_parallel(rt):
-                                ps = r_step[aid]
-                                key = (ps, step, aid, _R_W)
-                                if key not in keys:
-                                    keys.add(key)
-                                    rows.append((r_ord[aid], ps, rt, i, step,
-                                                 task, aid, _R_W))
-                            else:
-                                r_clock[aid] = clock
-                        w_task[aid] = task
-                        w_ord[aid] = i
-                        w_step[aid] = step
-                        w_clock[aid] = clock
-                    else:  # ---- read ----
-                        wt = w_task[aid]
-                        if wt >= 0 and w_clock[aid] != clock:
-                            if is_parallel(wt):
-                                ps = w_step[aid]
-                                key = (ps, step, aid, _W_R)
-                                if key not in keys:
-                                    keys.add(key)
-                                    rows.append((w_ord[aid], ps, wt, i, step,
-                                                 task, aid, _W_R))
-                            else:
-                                w_clock[aid] = clock
-                        rt = r_task[aid]
-                        if rt < 0 or r_clock[aid] == clock \
-                                or not is_parallel(rt):
-                            r_task[aid] = task
-                            r_ord[aid] = i
-                            r_step[aid] = step
-                            r_clock[aid] = clock
-            return segment
+        # As in the MRW core, race recording is inlined.
         acodes = self._acodes
+        seen = self._seen
         def segment(lo, hi, step, task):
             clock = bags.clock
             for i in range(lo, hi):
                 code = acodes[i]
                 aid = code >> 1
-                if dup[i]:
+                if seen.get(code) == lo:
+                    # Duplicate: only the occupant replacement survives.
                     if code & 1:
                         w_task[aid] = task
                         w_ord[aid] = i
@@ -825,6 +520,7 @@ class ArraySrwDetector(_ArrayDetectorBase):
                         r_ord[aid] = i
                         r_step[aid] = step
                     continue
+                seen[code] = lo
                 if code & 1:  # ---- write ----
                     wt = w_task[aid]
                     if wt >= 0 and w_clock[aid] != clock \
@@ -935,8 +631,7 @@ class ArrayDetection:
 
 def run_arraycore(trace: ExecutionTrace, algorithm: str,
                   chains: Optional[Dict[int, Tuple]] = None, *,
-                  detect: bool = True, collect=None, resume=None
-                  ) -> ArrayDetection:
+                  detect: bool = True, collect=None) -> ArrayDetection:
     """Run batch S-DPST maintenance + ESP-bags detection over a trace.
 
     ``chains`` (statement nid -> tuple of new synthetic ``FinishStmt``
@@ -946,17 +641,15 @@ def run_arraycore(trace: ExecutionTrace, algorithm: str,
     access-bearing segment it makes one structural bookkeeping call and
     one detector batch call.
 
-    Three incremental-re-detection hooks (:mod:`repro.races.incremental`):
+    Two hooks serve MRW incremental re-detection
+    (:mod:`repro.races.incremental`):
 
     * ``detect=False`` runs a *structure-only* pass — every builder and
       bag transition, no access scanning.  The S-DPST arrays come out
       bit-identical to a detecting pass at a fraction of the cost (the
       MRW fast path re-derives race rows from them).
     * ``collect`` (an ``IncrementalState``) records the step index of
-      every access-bearing event and captures detector checkpoints at
-      ``K_EXIT_FINISH`` boundaries at the state's stride.
-    * ``resume`` (a restored checkpoint) starts the loop mid-trace with
-      the arrays, bags, detector, and open-chain bookkeeping it carries.
+      every event's segment (``-1`` for an access-free one).
     """
     kinds = trace.kinds
     payloads = trace.payloads
@@ -966,34 +659,19 @@ def run_arraycore(trace: ExecutionTrace, algorithm: str,
     n_events = len(kinds)
     n_accesses = len(trace.acodes)
 
-    if resume is not None:
-        detector = resume.detector
-        arrays = resume.arrays
-        bags = resume.bags
-        tasks = resume.tasks
-        finish_keys = resume.finish_keys
-        frames = resume.frames
-        cur = resume.cur
-        debt = resume.debt
-        start_event = resume.start_event
+    detector = make_array_detector(algorithm, trace) if detect else None
+    arrays = _DpstArrays()
+    if detector is not None:
+        bags = detector.bags
     else:
-        detector = make_array_detector(algorithm, trace) if detect else None
-        arrays = _DpstArrays()
-        if detector is not None:
-            bags = detector.bags
-        else:
-            bags = BagManager()
-            bags.register_finish(_IMPLICIT_FINISH)
-        bags.make_s_bag(0)  # task_begin(root), as in DpstBuilder.__init__
-        tasks = [0]
-        finish_keys = [_IMPLICIT_FINISH]
-        frames = []
-        cur = _EMPTY
-        debt = 0
-        start_event = 0
-
-    if detector is not None and detector._dup is None:
-        detector._dup = _dup_mask_for(trace)
+        bags = BagManager()
+        bags.register_finish(_IMPLICIT_FINISH)
+    bags.make_s_bag(0)  # task_begin(root), as in DpstBuilder.__init__
+    tasks = [0]
+    finish_keys = [_IMPLICIT_FINISH]
+    frames = []
+    cur = _EMPTY
+    debt = 0
 
     costs = arrays.cost
     seg_step = arrays.seg_step
@@ -1007,13 +685,8 @@ def run_arraycore(trace: ExecutionTrace, algorithm: str,
     register_finish = bags.register_finish
     finish_ends = bags.finish_ends
 
-    if collect is not None:
-        soe_append = collect.step_of_event.append
-        ckpt_at = (collect.next_checkpoint_at if detector is not None
-                   else n_events + 1)
-    else:
-        soe_append = None
-        ckpt_at = n_events + 1
+    soe_append = collect.step_of_event.append if collect is not None \
+        else None
 
     has_chains = bool(chains)
     chains_get = chains.get if chains else None
@@ -1026,7 +699,7 @@ def run_arraycore(trace: ExecutionTrace, algorithm: str,
     if gc_was_enabled:
         gc.disable()
     try:
-        for j in range(start_event, n_events):
+        for j in range(n_events):
             kind = kinds[j]
             if kind == K_AT:
                 nid = payloads[j]
@@ -1127,10 +800,6 @@ def run_arraycore(trace: ExecutionTrace, algorithm: str,
                     costs[seg_step()] += cost
                 if soe_append is not None:
                     soe_append(-1)
-            if kind == K_EXIT_FINISH and j >= ckpt_at:
-                ckpt_at = collect.checkpoint(j, arrays, bags, detector,
-                                             tasks, finish_keys, frames,
-                                             cur, debt)
         # Defensive: a well-formed trace closes every scope, so no
         # injected finish can still be open here.
         for _ in range(len(cur)):  # pragma: no cover - unreachable

@@ -4,28 +4,19 @@ This is the "Data Race Detection" box of Figure 6: run the program
 sequentially on the test input, build the S-DPST, and collect the race
 set with the selected ESP-bags variant.
 
-Two detection cores implement that box:
-
-* the **array core** (default) — the run's observer stream is buffered
-  into the packed trace encoding as it executes, then S-DPST maintenance
-  and bag transitions run over the flat arrays in batch
-  (:mod:`repro.races.arraycore`);
-* the **object core** — the classic inline path
-  (:class:`~repro.dpst.builder.DpstBuilder` +
-  :class:`~repro.races.esp.EspBagsDetector`), kept for custom detectors
-  (e.g. the MHP oracle), non-ESP algorithms, and as the differential
-  baseline the array core is checked against.
-
-Both produce bit-identical :class:`~repro.races.report.RaceReport`s and
-S-DPSTs.  ``core="object"``/``core="array"`` selects per call; the
-``REPRO_ARRAYCORE`` environment variable (``0``/``off``/``object`` vs
-``1``/``on``/``array``) sets the process default.
+The ESP-bags detectors run on the **array core**: the run's observer
+stream is buffered into the packed trace encoding as it executes, then
+S-DPST maintenance and bag transitions run over the flat arrays in batch
+(:mod:`repro.races.arraycore`).  A caller-supplied ``detector=`` (the
+MHP oracle, or the object ESP-bags reference of :mod:`repro.races.esp`
+that the differential tests pin the array core to) and the non-ESP
+``"vc"`` algorithm instead run inline on the object path:
+:class:`~repro.dpst.builder.DpstBuilder` driving the detector's hooks.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import time
 from typing import Any, Optional, Sequence
 
@@ -36,17 +27,6 @@ from ..lang import ast
 from ..runtime.interpreter import ExecutionResult, Interpreter
 from .esp import EspBagsDetector, make_detector
 from .report import RaceReport
-
-#: the detection cores ``detect_races`` can run.
-CORES = ("array", "object")
-
-
-def default_core() -> str:
-    """The process-default detection core, honoring ``REPRO_ARRAYCORE``."""
-    env = os.environ.get("REPRO_ARRAYCORE", "").strip().lower()
-    if env in ("0", "off", "false", "no", "object"):
-        return "object"
-    return "array"
 
 
 def _harvest_counters(execution: ExecutionResult, node_count: int,
@@ -151,51 +131,40 @@ def detect_races(program: ast.Program, args: Sequence[Any] = (),
                  max_ops: int = 200_000_000,
                  engine: Optional[str] = None,
                  record_trace: bool = False,
-                 core: Optional[str] = None,
                  incremental: bool = False) -> DetectionResult:
     """Run ``main(*args)`` sequentially and report all data races.
 
     ``algorithm`` selects ``"mrw"`` (default, complete in one run) or
-    ``"srw"`` (the original single reader-writer ESP-bags).  A caller may
-    instead pass a pre-built ``detector`` (e.g. the MHP oracle).
-    ``engine`` picks the execution engine (``"tree"``/``"compiled"``);
-    ``None`` uses the process default — both engines produce identical
-    race reports.  ``core`` picks the detection core (``"array"``/
-    ``"object"``, see the module docstring); ``None`` uses the process
-    default, and a custom ``detector`` or a non-ESP ``algorithm`` always
-    runs on the object core.  With ``record_trace=True`` the run
-    additionally records an execution trace (``result.trace``) that
+    ``"srw"`` (the original single reader-writer ESP-bags), both on the
+    array core, or ``"vc"`` (the vector-clock baseline).  A caller may
+    instead pass a pre-built ``detector`` (e.g. the MHP oracle); it runs
+    on the object path (module docstring).  ``engine`` picks the
+    execution engine (``"tree"``/``"compiled"``); ``None`` uses the
+    process default — both engines produce identical race reports.  With
+    ``record_trace=True`` the run additionally records an execution
+    trace (``result.trace``) that
     :func:`~repro.races.replay.replay_detection` can re-detect from after
-    finish insertions, without re-executing the program.  With
-    ``incremental=True`` (array core + ``record_trace`` only) the result
-    additionally carries the ``inc_state`` baseline that incremental
-    replay re-detects against.
+    finish insertions, without re-executing the program; only the array
+    core records, so it raises ``ValueError`` together with a custom
+    ``detector`` or a non-ESP ``algorithm``.  With ``incremental=True``
+    (``record_trace`` only) the result additionally carries the
+    ``inc_state`` baseline that incremental replay re-detects against.
     """
-    if core is not None and core not in CORES:
-        raise ValueError(f"unknown detection core {core!r}; "
-                         f"expected one of {CORES}")
     if detector is None and algorithm in ("mrw", "srw"):
-        chosen = core or default_core()
-    else:
-        chosen = "object"
-    if chosen == "array":
         return _detect_races_array(program, args, algorithm, seed,
                                    max_ops, engine, record_trace,
                                    incremental)
+    if record_trace:
+        raise ValueError(
+            "record_trace needs the array core: pass algorithm='mrw' or "
+            "'srw' and no custom detector")
     if detector is None:
         detector = make_detector(algorithm)
     start = time.perf_counter()
     with telemetry.span("detect_races", algorithm=algorithm,
-                        record_trace=record_trace, core="object"):
+                        record_trace=False, core="object"):
         builder = DpstBuilder(detector)
-        recorder = None
-        observer = builder
-        if record_trace:
-            from ..runtime.recorder import TraceRecorder
-
-            recorder = TraceRecorder(builder)
-            observer = recorder
-        interp = Interpreter(program, observer, seed=seed, max_ops=max_ops,
+        interp = Interpreter(program, builder, seed=seed, max_ops=max_ops,
                              engine=engine)
         # The run allocates large, long-lived graphs (S-DPST nodes, shadow
         # entries) at a steady rate; with the cyclic collector enabled every
@@ -227,16 +196,9 @@ def detect_races(program: ast.Program, args: Sequence[Any] = (),
                 report = detector.compute_report()
             else:  # pragma: no cover - defensive
                 report = RaceReport([])
-        trace = None
-        if recorder is not None:
-            trace = recorder.trace()
-            trace.output = list(execution.output)
-            trace.ops = execution.ops
-            trace.value = execution.value
         _harvest_counters(execution, builder.node_count(), detector, report)
     elapsed = time.perf_counter() - start
-    return DetectionResult(execution, dpst, report, detector, elapsed,
-                           trace=trace)
+    return DetectionResult(execution, dpst, report, detector, elapsed)
 
 
 def _detect_races_array(program: ast.Program, args: Sequence[Any],
@@ -246,11 +208,8 @@ def _detect_races_array(program: ast.Program, args: Sequence[Any],
     """The array-core detection path: buffer the observer stream into
     the packed encoding during the run, then detect over it in batch."""
     from ..runtime.recorder import TraceBuffer
-    from .arraycore import run_arraycore, warm_numpy
+    from .arraycore import run_arraycore
 
-    # Import numpy (if enabled) before the clock starts: the one-time
-    # import cost is process setup, not detection work.
-    warm_numpy()
     start = time.perf_counter()
     with telemetry.span("detect_races", algorithm=algorithm,
                         record_trace=record_trace, core="array"):
@@ -298,6 +257,4 @@ def _detect_races_array(program: ast.Program, args: Sequence[Any],
         from .incremental import finalize_state
 
         result.inc_state = finalize_state(collect, run, None)
-        telemetry.counter("incremental.checkpoints",
-                          len(collect.checkpoints))
     return result

@@ -3,11 +3,11 @@
 The repair loop re-detects after every edit, and replay already made that
 a batch scan over recorded int streams — but each iteration still
 consumes the *entire* trace even though inserting a ``finish`` only
-changes happens-before relations inside the enclosing subtree.  This
-module makes re-detection cost track the edit, not the trace, in two
-algorithm-specific ways (DESIGN.md §12 carries the soundness argument):
+changes happens-before relations inside the enclosing subtree.  For the
+MRW detector this module makes re-detection cost track the edit, not the
+trace (DESIGN.md §12 carries the soundness argument):
 
-**MRW — row transform over a structure-only scan.**  The MRW core keeps
+**Row transform over a structure-only scan.**  The MRW core keeps
 *every* accessor summary unconditionally (first access per (task,
 address) wins), so the set of checked access pairs is independent of the
 finish structure; an edit can only flip verdicts, and only from racy to
@@ -22,16 +22,8 @@ split by a new splice are re-expanded per fragment, and the survivors are
 sorted into the scan's canonical emission order.  The result is
 bit-identical to a full replay.
 
-**SRW — checkpoint resume.**  SRW's single-occupant slots are overwritten
-conditionally on bag state, so old rows cannot be transformed — but the
-scan *prefix* before the first changed splice point is identical to the
-previous iteration's.  Full detection scans therefore snapshot the
-complete detector state (ESP-bag union-find arrays, step/finish stacks,
-per-address summaries, clean-scan fingerprints, dedup stamps, race rows
-cursor) at finish-exit boundaries, at a bounded stride so checkpoint cost
-stays ``O(trace / stride)``.  The incremental path computes the dirty
-window from the injection-chain delta, restores the nearest checkpoint
-before it, and resumes the full scan from there.
+SRW's single-occupant slots are overwritten conditionally on bag state,
+so its old rows cannot be transformed; an SRW baseline is always a miss.
 
 Any structural precondition failure raises :class:`IncrementalMiss` and
 the caller falls back to a full replay — the same fallback shape
@@ -40,34 +32,25 @@ the caller falls back to a full replay — the same fallback shape
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..dpst.nodes import ASYNC, SCOPE
-from ..runtime.recorder import ExecutionTrace, K_AT
+from ..runtime.recorder import ExecutionTrace
 from .arraycore import (
-    _EMPTY,
     _W_R,
     ArrayDetection,
     _DpstArrays,
-    _dup_mask_for,
     make_array_detector,
     run_arraycore,
 )
-from .bags import BagManager
 
 __all__ = [
     "IncrementalMiss",
     "IncrementalState",
-    "checkpoint_stride",
     "incremental_replay",
     "finalize_state",
 ]
-
-#: hard cap on checkpoints kept per state — a runaway-stride backstop;
-#: with the default stride (n_events // 8) at most ~9 are ever taken.
-_CKPT_CAP = 32
 
 
 class IncrementalMiss(Exception):
@@ -79,52 +62,6 @@ class IncrementalMiss(Exception):
     """
 
 
-def checkpoint_stride(n_events: int) -> Optional[int]:
-    """Events between checkpoints: ``REPRO_CKPT_STRIDE`` (int, ``0``/
-    ``off`` disables capture), default ``n_events // 8`` so a full scan
-    takes a bounded number of snapshots regardless of trace length."""
-    env = os.environ.get("REPRO_CKPT_STRIDE", "").strip().lower()
-    if env:
-        if env in ("0", "off", "none", "no", "false"):
-            return None
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, n_events // 8)
-
-
-class _Checkpoint:
-    """Complete detector+builder state at the end of one trace event.
-
-    Captured only at ``K_EXIT_FINISH`` boundaries (every injected or
-    recorded finish is closed there, so the open-chain bookkeeping is at
-    a natural rest point).  The S-DPST arrays are *not* copied: they are
-    append-only except for the currently-open step, so the checkpoint
-    records their lengths plus that step's mutable fields and restore
-    slices the source arrays lazily.  Bag arrays *are* copied at capture
-    — union-find path compression rewrites old entries in place.
-    """
-
-    __slots__ = ("event", "count", "stack", "anchor_stack", "cur_anchor",
-                 "cur_step", "open_fix", "arrays_src",
-                 "bag_parent", "bag_rank", "bag_ptag", "bag_pbag",
-                 "clock", "unions",
-                 "tasks", "finish_keys", "frames", "cur", "debt",
-                 "det_snap")
-
-    def __init__(self, **kw: Any) -> None:
-        for name, value in kw.items():
-            setattr(self, name, value)
-
-
-class _Resume:
-    """Restored loop state handed to ``run_arraycore(..., resume=...)``."""
-
-    __slots__ = ("detector", "arrays", "bags", "tasks", "finish_keys",
-                 "frames", "cur", "debt", "start_event")
-
-
 class IncrementalState:
     """What one detection pass leaves behind for the next iteration.
 
@@ -132,14 +69,12 @@ class IncrementalState:
     incremental replay) and threaded through the repair loop by the
     engine.  Holds the scan's per-event step map, its race rows and
     S-DPST arrays (by reference — both are append-only after the scan),
-    the injection-chain snapshot it ran under (as nid tuples, so chain
-    deltas are computed without holding AST aliases), and the checkpoint
-    ladder.
+    and the injection-chain snapshot it ran under (as nid tuples, so
+    chain deltas are computed without holding AST aliases).
     """
 
     __slots__ = ("trace", "algorithm", "chain_nids", "rows",
-                 "step_of_event", "checkpoints", "arrays", "n_events",
-                 "stride", "next_checkpoint_at")
+                 "step_of_event", "arrays", "n_events")
 
     def __init__(self, trace: ExecutionTrace, algorithm: str) -> None:
         self.trace = trace
@@ -147,51 +82,8 @@ class IncrementalState:
         self.chain_nids: Dict[int, Tuple[int, ...]] = {}
         self.rows: Optional[list] = None
         self.step_of_event: List[int] = []
-        self.checkpoints: List[_Checkpoint] = []
         self.arrays: Optional[_DpstArrays] = None
         self.n_events = len(trace.kinds)
-        self.stride = checkpoint_stride(self.n_events)
-        self.next_checkpoint_at = (
-            self.stride if self.stride is not None else self.n_events + 1)
-
-    # Called from the run_arraycore loop at K_EXIT_FINISH boundaries once
-    # the event (and its trailing segment) is fully processed; returns
-    # the next event threshold so the loop keeps a plain int comparison
-    # on its hot path.
-    def checkpoint(self, event: int, arrays: _DpstArrays, bags: BagManager,
-                   detector, tasks, finish_keys, frames, cur, debt) -> int:
-        if self.stride is None or len(self.checkpoints) >= _CKPT_CAP:
-            self.next_checkpoint_at = self.n_events + 1
-            return self.next_checkpoint_at
-        cur_step = arrays.cur_step
-        open_fix = None
-        if cur_step != -1:
-            open_fix = (arrays.cost[cur_step], arrays.anchor[cur_step],
-                        list(arrays.anchors[cur_step] or ()))
-        self.checkpoints.append(_Checkpoint(
-            event=event,
-            count=arrays.count,
-            stack=list(arrays.stack),
-            anchor_stack=list(arrays.anchor_stack),
-            cur_anchor=arrays.cur_anchor,
-            cur_step=cur_step,
-            open_fix=open_fix,
-            arrays_src=arrays,
-            bag_parent=list(bags._parent),
-            bag_rank=list(bags._rank),
-            bag_ptag=list(bags._ptag),
-            bag_pbag=dict(bags._pbag_rep),
-            clock=bags.clock,
-            unions=bags.unions,
-            tasks=list(tasks),
-            finish_keys=list(finish_keys),
-            frames=tuple(tuple(f.nid for f in ch) for ch in frames),
-            cur=tuple(f.nid for f in cur),
-            debt=debt,
-            det_snap=detector.snapshot() if detector is not None else None,
-        ))
-        self.next_checkpoint_at = event + self.stride
-        return self.next_checkpoint_at
 
 
 def finalize_state(collect: IncrementalState, run: ArrayDetection,
@@ -207,22 +99,6 @@ def _chain_nids(chains) -> Dict[int, Tuple[int, ...]]:
     if not chains:
         return {}
     return {nid: tuple(f.nid for f in ch) for nid, ch in chains.items()}
-
-
-def first_at_map(trace: ExecutionTrace) -> Dict[int, int]:
-    """Statement nid -> first ``K_AT`` event index, cached per trace."""
-    cache = trace.replay_cache()
-    m = cache.get("first_at")
-    if m is None:
-        m = {}
-        payloads = trace.payloads
-        for j, k in enumerate(trace.kinds):
-            if k == K_AT:
-                nid = payloads[j]
-                if nid not in m:
-                    m[nid] = j
-        cache["first_at"] = m
-    return m
 
 
 def _is_subsequence(old: Tuple[int, ...], new: Tuple[int, ...]) -> bool:
@@ -298,42 +174,37 @@ def incremental_replay(trace: ExecutionTrace, algorithm: str, chains,
             or len(baseline.step_of_event) != baseline.n_events:
         raise IncrementalMiss("baseline state is incomplete")
 
+    if algorithm != "mrw":
+        raise IncrementalMiss(
+            f"the row transform needs the MRW detector, not {algorithm!r}")
+
     new_nids = _chain_nids(chains)
     old_nids = baseline.chain_nids
-    first_at = first_at_map(trace)
-    # The dirty window's left edge: the first event whose splice behavior
-    # differs from the baseline scan's.  Chains must only *grow* (repair
-    # never removes a finish); a shrunk or reordered chain would let two
-    # baseline steps merge, breaking the row transform's injectivity.
-    w0 = baseline.n_events
+    executed = trace.stmt_nids
+    # Chains must only *grow* (repair never removes a finish); a shrunk
+    # or reordered chain would let two baseline steps merge, breaking
+    # the row transform's injectivity.
     for nid in set(old_nids) | set(new_nids):
         o = old_nids.get(nid, ())
         n = new_nids.get(nid, ())
-        if o == n:
-            continue
-        e = first_at.get(nid)
-        if e is None:
-            continue  # statement never executed: the delta is inert
+        if o == n or nid not in executed:
+            continue  # unchanged, or never executed: the delta is inert
         if not _is_subsequence(o, n):
             raise IncrementalMiss(
                 f"injection chain for statement {nid} shrank or reordered")
-        if e < w0:
-            w0 = e
 
-    if algorithm == "mrw":
-        # Cost guard: the row transform is O(rows × tree depth) while a
-        # full replay's detection scan is O(accesses) with clean-scan
-        # filtering, so on race-dense traces (MRW keeps *every*
-        # reader/writer pair, and a racy reduction can report a row per
-        # access) transforming the rows costs more than re-scanning.
-        # Measured break-even is rows ≈ accesses/4 on the bench suite.
-        if len(baseline.rows) * 4 >= len(trace.acodes) > 0:
-            raise IncrementalMiss(
-                f"race-row set too large for the row transform "
-                f"({len(baseline.rows)} rows, "
-                f"{len(trace.acodes)} accesses)")
-        return _fast_mrw(trace, chains, baseline, new_nids, w0)
-    return _resume_scan(trace, algorithm, chains, baseline, new_nids, w0)
+    # Cost guard: the row transform is O(rows × tree depth) while a full
+    # replay's detection scan is O(accesses) with clean-scan filtering,
+    # so on race-dense traces (MRW keeps *every* reader/writer pair, and
+    # a racy reduction can report a row per access) transforming the
+    # rows costs more than re-scanning.  Measured break-even is rows ≈
+    # accesses/4 on the bench suite.
+    if len(baseline.rows) * 4 >= len(trace.acodes) > 0:
+        raise IncrementalMiss(
+            f"race-row set too large for the row transform "
+            f"({len(baseline.rows)} rows, "
+            f"{len(trace.acodes)} accesses)")
+    return _fast_mrw(trace, chains, baseline, new_nids)
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +212,7 @@ def incremental_replay(trace: ExecutionTrace, algorithm: str, chains,
 # ----------------------------------------------------------------------
 
 def _fast_mrw(trace: ExecutionTrace, chains, baseline: IncrementalState,
-              new_nids: Dict[int, Tuple[int, ...]], w0: int
+              new_nids: Dict[int, Tuple[int, ...]]
               ) -> Tuple[ArrayDetection, IncrementalState, dict]:
     collect = IncrementalState(trace, "mrw")
     det = run_arraycore(trace, "mrw", chains=chains, detect=False,
@@ -460,134 +331,10 @@ def _fast_mrw(trace: ExecutionTrace, chains, baseline: IncrementalState,
     collect.arrays = arrays
     collect.rows = rows_new
     collect.chain_nids = new_nids
-    # Checkpoints before the dirty window describe the new scan's prefix
-    # too (same splices, same events) — carry them forward for a later
-    # SRW-style resume or stride test; this scan itself captures none.
-    collect.checkpoints = [c for c in baseline.checkpoints if c.event < w0]
     stats = {
-        "mode": "fast",
         "window_events": 0,
         "events_total": n_events,
         "rows_rechecked": len(base_rows),
         "rows_synthesized": synthesized,
-        "checkpoints": 0,
     }
     return result, collect, stats
-
-
-# ----------------------------------------------------------------------
-# Checkpoint resume (SRW, and any detector whose summaries depend on
-# bag state)
-# ----------------------------------------------------------------------
-
-def _restore(ckpt: _Checkpoint, trace: ExecutionTrace, algorithm: str,
-             chains) -> _Resume:
-    src = ckpt.arrays_src
-    n = ckpt.count + 1
-    arrays = _DpstArrays.__new__(_DpstArrays)
-    arrays.nodes = None
-    arrays.kind = src.kind[:n]
-    arrays.parent = src.parent[:n]
-    arrays.anchor = src.anchor[:n]
-    arrays.block = src.block[:n]
-    arrays.construct = src.construct[:n]
-    arrays.scope = src.scope[:n]
-    arrays.cost = src.cost[:n]
-    arrays.anchors = src.anchors[:n]
-    arrays.count = ckpt.count
-    arrays.stack = list(ckpt.stack)
-    arrays.anchor_stack = list(ckpt.anchor_stack)
-    arrays.cur_anchor = ckpt.cur_anchor
-    arrays.cur_step = ckpt.cur_step
-    if ckpt.open_fix is not None:
-        cost0, anchor0, anchors0 = ckpt.open_fix
-        arrays.cost[ckpt.cur_step] = cost0
-        arrays.anchor[ckpt.cur_step] = anchor0
-        arrays.anchors[ckpt.cur_step] = list(anchors0)
-
-    bags = BagManager.__new__(BagManager)
-    bags._parent = list(ckpt.bag_parent)
-    bags._rank = list(ckpt.bag_rank)
-    bags._ptag = list(ckpt.bag_ptag)
-    bags._pbag_rep = dict(ckpt.bag_pbag)
-    bags.clock = ckpt.clock
-    bags.unions = ckpt.unions
-
-    detector = None
-    if ckpt.det_snap is not None:
-        detector = make_array_detector(algorithm, trace)
-        detector.bags = bags
-        detector.restore_snapshot(ckpt.det_snap)
-        detector._dup = _dup_mask_for(trace)
-
-    # Re-intern the open injection chains against the *new* chain map:
-    # the replay loop compares chains by identity, so the restored
-    # tuples must be the very objects the new map hands out.
-    rev: Dict[Tuple[int, ...], Tuple] = {}
-    if chains:
-        for ch in chains.values():
-            rev[tuple(f.nid for f in ch)] = ch
-
-    def intern(nids: Tuple[int, ...]):
-        if not nids:
-            return _EMPTY
-        ch = rev.get(nids)
-        if ch is None:
-            raise IncrementalMiss(
-                "checkpointed open finish chain is absent from the new "
-                "injection map")
-        return ch
-
-    resume = _Resume()
-    resume.detector = detector
-    resume.arrays = arrays
-    resume.bags = bags
-    resume.tasks = list(ckpt.tasks)
-    resume.finish_keys = list(ckpt.finish_keys)
-    resume.frames = [intern(f) for f in ckpt.frames]
-    resume.cur = intern(ckpt.cur)
-    resume.debt = ckpt.debt
-    resume.start_event = ckpt.event + 1
-    return resume
-
-
-def _resume_scan(trace: ExecutionTrace, algorithm: str, chains,
-                 baseline: IncrementalState,
-                 new_nids: Dict[int, Tuple[int, ...]], w0: int
-                 ) -> Tuple[ArrayDetection, IncrementalState, dict]:
-    best = None
-    for c in baseline.checkpoints:
-        if c.event < w0 and c.det_snap is not None and \
-                (best is None or c.event > best.event):
-            best = c
-    if best is None:
-        raise IncrementalMiss(
-            "no detector checkpoint precedes the dirty window")
-    resume = _restore(best, trace, algorithm, chains)
-    collect = IncrementalState(trace, algorithm)
-    if collect.stride is not None:
-        collect.next_checkpoint_at = best.event + collect.stride
-    # Checkpoints valid for the new scan's prefix carry over; they count
-    # against the cap so the ladder stays bounded across iterations.
-    collect.checkpoints = [c for c in baseline.checkpoints
-                           if c.event < w0]
-    det = run_arraycore(trace, algorithm, chains=chains,
-                        collect=collect, resume=resume)
-    taken = len(collect.checkpoints) - sum(
-        1 for c in collect.checkpoints if c.event <= best.event)
-    # Compose the full per-event step map: the prefix is bit-identical
-    # to the baseline scan's by construction.
-    collect.step_of_event = (
-        baseline.step_of_event[:resume.start_event] + collect.step_of_event)
-    finalize_state(collect, det, chains)
-    collect.chain_nids = new_nids
-    n_events = baseline.n_events
-    stats = {
-        "mode": "resume",
-        "window_events": n_events - resume.start_event,
-        "events_total": n_events,
-        "rows_rechecked": 0,
-        "rows_synthesized": 0,
-        "checkpoints": taken,
-    }
-    return det, collect, stats

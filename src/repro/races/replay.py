@@ -29,9 +29,7 @@ is simply its second producer, next to the live first run of
 from __future__ import annotations
 
 import time
-from typing import Dict, Tuple
-
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from .. import telemetry
 from ..errors import ReplayError
@@ -156,10 +154,7 @@ def _replay_detection(trace: ExecutionTrace, program: ast.Program,
                                 algorithm=algorithm):
                 pass
         else:
-            if stats["mode"] == "fast":
-                telemetry.counter("incremental.hits")
-            else:
-                telemetry.counter("incremental.resumes")
+            telemetry.counter("incremental.hits")
             telemetry.counter("incremental.window_events",
                               stats["window_events"])
             telemetry.counter("incremental.events_total",
@@ -168,15 +163,11 @@ def _replay_detection(trace: ExecutionTrace, program: ast.Program,
                               stats["rows_rechecked"])
             telemetry.counter("incremental.rows_synthesized",
                               stats["rows_synthesized"])
-            telemetry.counter("incremental.checkpoints",
-                              stats["checkpoints"])
     if run is None:
         collect = IncrementalState(trace, algorithm) if incremental else None
         run = run_arraycore(trace, algorithm, chains=chains, collect=collect)
         if collect is not None:
             inc_state = finalize_state(collect, run, chains)
-            telemetry.counter("incremental.checkpoints",
-                              len(collect.checkpoints))
     report = run.report()
     dpst = run.dpst_handle()
 

@@ -62,10 +62,10 @@ def incremental_enabled_default() -> bool:
     """The process-wide incremental re-detection default: on unless
     ``REPRO_INCREMENTAL`` says no (same convention as ``REPRO_REPLAY``).
 
-    Incremental mode only applies where replay applies (the ESP-bags
-    detectors with ``reuse_trace`` on); it changes re-detection cost,
-    never results — every incremental pass is bit-identical to a full
-    replay, with an automatic full-replay fallback on structural misses.
+    Incremental mode only applies to MRW repairs with replay on
+    (``reuse_trace``); it changes re-detection cost, never results —
+    every incremental pass is bit-identical to a full replay, with an
+    automatic full-replay fallback on structural misses.
     """
     value = os.environ.get("REPRO_INCREMENTAL", "").strip().lower()
     return value not in ("0", "false", "off", "no")
@@ -226,9 +226,11 @@ class RepairEngine:
         if incremental is None:
             incremental = incremental_enabled_default()
         #: re-detect incrementally against the previous iteration's
-        #: detector state instead of re-scanning the whole trace
-        #: (requires replay; results are bit-identical either way).
-        self.incremental = bool(incremental) and self.reuse_trace
+        #: race rows instead of re-scanning the whole trace (requires
+        #: replay and the MRW detector — SRW rows cannot be transformed;
+        #: results are bit-identical either way).
+        self.incremental = (bool(incremental) and self.reuse_trace
+                            and algorithm == "mrw")
 
     # ------------------------------------------------------------------
 

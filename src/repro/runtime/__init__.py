@@ -12,7 +12,7 @@ from .interpreter import (
     run_program,
     set_default_engine,
 )
-from .recorder import ExecutionTrace, TraceRecorder
+from .recorder import ExecutionTrace
 from .schedules import (
     DeferredScheduleInterpreter,
     DeterminismReport,
@@ -35,7 +35,6 @@ __all__ = [
     "run_program",
     "set_default_engine",
     "ExecutionTrace",
-    "TraceRecorder",
     "Address",
     "ArrayValue",
     "Cell",

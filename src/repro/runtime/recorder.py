@@ -1,19 +1,13 @@
 """Execution-trace recording: the packed array encoding of a run.
 
 The instrumented run's expensive part is per-access work: every monitored
-access pays interpreter dispatch *and* builder/detector work.  Both the
-replay fast path (PR 3) and the array-compiled detection core lower that
-work onto flat int streams recorded here:
-
-* :class:`TraceBuffer` — the **first-run producer**: an observer that
-  does nothing but append the packed encoding as the engine executes.
-  ``detect_races``'s array core runs the engine with a ``TraceBuffer``
-  and then performs S-DPST maintenance and ESP-bags detection in batch
-  over the arrays (:mod:`repro.races.arraycore`).
-* :class:`TraceRecorder` — the **teeing producer**: records the same
-  arrays while forwarding every event to an inner observer (the object
-  ``DpstBuilder``), so the object-core detection run can record a trace
-  without changing what the builder/detector see.
+access pays interpreter dispatch *and* builder/detector work.  The
+array-compiled detection core lowers that work onto flat int streams
+recorded here by :class:`TraceBuffer`, an observer that does nothing but
+append the packed encoding as the engine executes.  ``detect_races`` runs
+the engine with a ``TraceBuffer`` and then performs S-DPST maintenance
+and ESP-bags detection in batch over the arrays
+(:mod:`repro.races.arraycore`).
 
 :mod:`repro.races.replay` is the second *consumer* of the same arrays:
 it feeds a recorded trace (plus later-inserted ``finish`` brackets) back
@@ -112,11 +106,10 @@ class ExecutionTrace:
     def replay_cache(self) -> dict:
         """Mutable scratch dict scoped to this trace's lifetime.
 
-        Replay and the array core park per-trace derived artifacts here
-        (duplicate-access mask, first-occurrence event map, validated
-        program nid-sets) so repeated repair iterations over the same
-        trace don't recompute them.  Keys are owned by the writers; the
-        trace itself never reads the dict.
+        Replay parks per-trace derived artifacts here (validated program
+        nid-sets) so repeated repair iterations over the same trace don't
+        recompute them.  Keys are owned by the writers; the trace itself
+        never reads the dict.
         """
         cache = self._replay_cache
         if cache is None:
@@ -258,7 +251,6 @@ class TraceBuffer(ExecutionObserver):
             anodes_append(node)
             segcosts[-1] += units
 
-        self._event = event
         self.at_statement = at_statement
         self.enter_async = lambda stmt: event(K_ENTER_ASYNC, stmt)
         self.exit_async = lambda: event(K_EXIT_ASYNC, None)
@@ -280,145 +272,3 @@ class TraceBuffer(ExecutionObserver):
         return ExecutionTrace(self._kinds, self._payloads, self._pends,
                               self._starts, self._segcosts,
                               self._acodes, self._anodes, self._addr_table)
-
-
-class TraceRecorder(TraceBuffer):
-    """Observer that tees every event to ``inner`` while recording it.
-
-    Wrap the :class:`~repro.dpst.builder.DpstBuilder` of an object-core
-    detection run; the builder (and its detector) see the exact stream
-    they would without recording.  Like the buffer, the hooks are
-    instance-attribute closures; each repeats the buffer's body with the
-    bound forward appended rather than delegating — one call per access
-    instead of two.
-    """
-
-    def __init__(self, inner: ExecutionObserver) -> None:
-        self.inner = inner
-        super().__init__()
-
-    def bind_pending_cost(self, pending) -> None:
-        self._pending_cell[0] = pending
-        self.inner.bind_pending_cost(pending)
-
-    def _install_hooks(self) -> None:
-        super()._install_hooks()
-        record_event = self._event
-        pending_cell = self._pending_cell
-        kinds_append = self._kinds.append
-        payloads_append = self._payloads.append
-        pends_append = self._pends.append
-        starts_append = self._starts.append
-        segcosts = self._segcosts
-        segcosts_append = segcosts.append
-        acodes = self._acodes
-        acodes_append = acodes.append
-        anodes_append = self._anodes.append
-        addr_ids = self._addr_ids
-        addr_get = addr_ids.get
-        addr_table = self._addr_table
-        table_append = addr_table.append
-        inner = self.inner
-        i_at = inner.at_statement
-        i_enter_async = inner.enter_async
-        i_exit_async = inner.exit_async
-        i_enter_finish = inner.enter_finish
-        i_exit_finish = inner.exit_finish
-        i_enter_scope = inner.enter_scope
-        i_exit_scope = inner.exit_scope
-        i_read = inner.read
-        i_write = inner.write
-        i_add_cost = inner.add_cost
-        i_cost_read = inner.cost_read
-        i_cost_write = inner.cost_write
-
-        def at_statement(stmt_nid):
-            kinds_append(K_AT)
-            payloads_append(stmt_nid)
-            pends_append(pending_cell[0]())
-            starts_append(len(acodes))
-            segcosts_append(0)
-            i_at(stmt_nid)
-
-        def enter_async(stmt):
-            record_event(K_ENTER_ASYNC, stmt)
-            i_enter_async(stmt)
-
-        def exit_async():
-            record_event(K_EXIT_ASYNC, None)
-            i_exit_async()
-
-        def enter_finish(stmt):
-            record_event(K_ENTER_FINISH, stmt)
-            i_enter_finish(stmt)
-
-        def exit_finish():
-            record_event(K_EXIT_FINISH, None)
-            i_exit_finish()
-
-        def enter_scope(kind, construct_nid, block_nid):
-            record_event(K_ENTER_SCOPE, (kind, construct_nid, block_nid))
-            i_enter_scope(kind, construct_nid, block_nid)
-
-        def exit_scope():
-            record_event(K_EXIT_SCOPE, None)
-            i_exit_scope()
-
-        def read(addr, node):
-            aid = addr_get(addr)
-            if aid is None:
-                aid = len(addr_table)
-                addr_ids[addr] = aid
-                table_append(addr)
-            acodes_append(aid << 1)
-            anodes_append(node)
-            i_read(addr, node)
-
-        def write(addr, node):
-            aid = addr_get(addr)
-            if aid is None:
-                aid = len(addr_table)
-                addr_ids[addr] = aid
-                table_append(addr)
-            acodes_append(aid << 1 | 1)
-            anodes_append(node)
-            i_write(addr, node)
-
-        def add_cost(units):
-            segcosts[-1] += units
-            i_add_cost(units)
-
-        def cost_read(units, addr, node):
-            aid = addr_get(addr)
-            if aid is None:
-                aid = len(addr_table)
-                addr_ids[addr] = aid
-                table_append(addr)
-            acodes_append(aid << 1)
-            anodes_append(node)
-            segcosts[-1] += units
-            i_cost_read(units, addr, node)
-
-        def cost_write(units, addr, node):
-            aid = addr_get(addr)
-            if aid is None:
-                aid = len(addr_table)
-                addr_ids[addr] = aid
-                table_append(addr)
-            acodes_append(aid << 1 | 1)
-            anodes_append(node)
-            segcosts[-1] += units
-            i_cost_write(units, addr, node)
-
-        self.at_statement = at_statement
-        self.enter_async = enter_async
-        self.exit_async = exit_async
-        self.enter_finish = enter_finish
-        self.exit_finish = exit_finish
-        self.enter_scope = enter_scope
-        self.exit_scope = exit_scope
-        self.read = read
-        self.write = write
-        self.add_cost = add_cost
-        self.cost_read = cost_read
-        self.cost_write = cost_write

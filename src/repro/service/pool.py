@@ -63,16 +63,21 @@ def _pick_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-def _worker_main(conn_) -> None:
+def _worker_main(conn_, inherited=()) -> None:
     """Worker loop: receive a job, run it, send the result, repeat.
 
     SIGINT is ignored so a terminal ^C (delivered to the whole process
     group) reaches only the parent, which decides whether to drain or
     abort; the parent stops workers by sending ``None`` or closing the
-    pipe.
+    pipe.  ``inherited`` holds the parent-side pipe ends a forked child
+    got copies of (its own and earlier workers'); they are closed first,
+    so the parent is the only holder and its death — even by SIGKILL —
+    reaches ``recv()`` as EOF.
     """
     from .jobs import run_job  # re-imported under spawn/forkserver
 
+    for other in inherited:
+        other.close()
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except ValueError:  # pragma: no cover - non-main-thread embedding
@@ -298,7 +303,9 @@ class WorkerPool:
         if self._started:
             return self
         self._started = True
-        self._handles = [self._spawn() for _ in range(self.workers)]
+        for _ in range(self.workers):
+            # One at a time: each fork must see the earlier handles.
+            self._handles.append(self._spawn())
         self._dispatcher = threading.Thread(
             target=self._loop, name="repro-pool-dispatch", daemon=True)
         self._dispatcher.start()
@@ -475,8 +482,13 @@ class WorkerPool:
 
     def _spawn(self) -> _WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        inherited = []
+        if self._ctx.get_start_method() == "fork":
+            # A forked child holds copies of every open parent-side end;
+            # other start methods pass the child only its own end.
+            inherited = [h.conn for h in self._handles] + [parent_conn]
         process = self._ctx.Process(target=_worker_main,
-                                    args=(child_conn,),
+                                    args=(child_conn, inherited),
                                     name="repro-pool-worker", daemon=True)
         process.start()
         child_conn.close()

@@ -28,9 +28,7 @@ Canonical counter names used by the pipeline:
 ``repair.replay_fallbacks``    replays abandoned for re-execution
 ``repair.dp_cells``            placement-DP cells filled (ranges of 2+)
 ``repair.dp_cells_edge_free``  of those, cells with no edge inside (O(1))
-``incremental.checkpoints``    detector-state checkpoints captured
 ``incremental.hits``           replays served by the MRW fast path
-``incremental.resumes``        replays resumed from a checkpoint (SRW)
 ``incremental.fallbacks``      incremental misses (full re-scan instead)
 ``incremental.window_events``  trace events actually re-scanned
 ``incremental.events_total``   trace events a full re-scan would cover
@@ -40,8 +38,8 @@ Canonical counter names used by the pipeline:
 =============================  =========================================
 
 The re-scanned window fraction of an incremental repair is
-``incremental.window_events / incremental.events_total`` (0 for pure
-fast-path repairs, which re-scan structure only, no accesses).
+``incremental.window_events / incremental.events_total``: 0, because the
+MRW fast path re-scans structure only, no accesses.
 """
 
 from __future__ import annotations

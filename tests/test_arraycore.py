@@ -1,15 +1,21 @@
 """The array detection core (races/arraycore.py): differential tests.
 
-The core's contract is bit-identical output to the object engine — same
-race report (order, kinds, step indices, AST nodes, task ids,
-addresses), same S-DPST, same bag-union and access counters — for both
-ESP-bags variants, on both the stdlib and numpy batch-filter paths.
-These tests enforce that over the Table-1 bench corpus and the
-student-homework corpus, mirroring how test_compiled_engine.py pins the
-two execution engines to each other.
+The core's contract is bit-identical output to the object ESP-bags
+reference (``detect_races(detector=make_detector(alg))``, i.e.
+``DpstBuilder`` + races/esp.py) — same race report (order, kinds, step
+indices, AST nodes, task ids, addresses), same S-DPST, same bag-union
+and access counters — for both ESP-bags variants and both of the core's
+producers: the live first run (``"0"``) and a replay of that run's
+recorded trace (``"1"``).  These tests enforce that over the Table-1
+bench corpus and the student-homework corpus, mirroring how
+test_compiled_engine.py pins the two execution engines to each other.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,14 +27,20 @@ from repro.bench.students import (
 from repro.bench.suite import BENCHMARK_ORDER, get_benchmark
 from repro.dpst.tree import Dpst
 from repro.lang import parse, strip_finishes
-from repro.races import detect_races
-from repro.races.arraycore import numpy_mode, run_arraycore
-from repro.races.detect import CORES, default_core
+from repro.races import (
+    ArrayMrwDetector,
+    ArraySrwDetector,
+    detect_races,
+    make_detector,
+)
+from repro.races.replay import replay_detection
 from tests.conftest import build
 from tests.test_replay import dpst_sig, norm_report
 
 ALGORITHMS = ("mrw", "srw")
-NUMPY_MODES = ("0", "1")
+#: the array core's producers: "0" = live first run, "1" = replay of
+#: the live run's recorded trace (no edits).
+PRODUCERS = ("0", "1")
 
 STUDENT_SOURCES = [
     pytest.param(source, id=f"student-{i}")
@@ -82,74 +94,68 @@ def detection_sig(detection):
             detection.execution.ops)
 
 
-def run_differential(program_factory, args, algorithm, monkeypatch,
-                     numpy_env):
-    monkeypatch.setenv("REPRO_NUMPY", numpy_env)
+def run_differential(program_factory, args, algorithm, producer):
     array = detect_races(program_factory(), args, algorithm=algorithm,
-                         core="array")
-    obj = detect_races(program_factory(), args, algorithm=algorithm,
-                       core="object")
+                         record_trace=producer == "1")
+    if producer == "1":
+        array = replay_detection(array.trace, program_factory(),
+                                 algorithm=algorithm)
+    obj = detect_races(program_factory(), args,
+                       detector=make_detector(algorithm))
     assert detection_sig(array) == detection_sig(obj)
     return array, obj
 
 
 class TestBenchDifferential:
-    @pytest.mark.parametrize("numpy_env", NUMPY_MODES)
+    @pytest.mark.parametrize("producer", PRODUCERS)
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("name", BENCHMARK_ORDER)
-    def test_stripped_bench_identical(self, name, algorithm, numpy_env,
-                                      monkeypatch):
+    def test_stripped_bench_identical(self, name, algorithm, producer):
         spec = get_benchmark(name)
         run_differential(lambda: strip_finishes(spec.parse()),
-                         spec.test_args, algorithm, monkeypatch, numpy_env)
+                         spec.test_args, algorithm, producer)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_original_bench_identical(self, algorithm, monkeypatch):
+    def test_original_bench_identical(self, algorithm):
         # Race-free originals: the lazy-DPST path, spot-checked on two.
         for name in ("fibonacci", "mergesort"):
             spec = get_benchmark(name)
             array, _obj = run_differential(spec.parse, spec.test_args,
-                                           algorithm, monkeypatch, "0")
+                                           algorithm, "0")
             assert array.report.is_race_free
 
 
 class TestStudentDifferential:
-    @pytest.mark.parametrize("numpy_env", NUMPY_MODES)
+    @pytest.mark.parametrize("producer", PRODUCERS)
     @pytest.mark.parametrize("source", STUDENT_SOURCES)
-    def test_submission_identical(self, source, numpy_env, monkeypatch):
+    def test_submission_identical(self, source, producer):
         for algorithm in ALGORITHMS:
             run_differential(lambda: parse(source), (40,), algorithm,
-                             monkeypatch, numpy_env)
+                             producer)
 
 
 class TestDupHeavy:
-    @pytest.mark.parametrize("numpy_env", NUMPY_MODES)
+    @pytest.mark.parametrize("producer", PRODUCERS)
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("name", sorted(DUP_HEAVY))
-    def test_dedup_preserves_reports(self, name, algorithm, numpy_env,
-                                     monkeypatch):
+    def test_dedup_preserves_reports(self, name, algorithm, producer):
         run_differential(lambda: build(DUP_HEAVY[name]), (), algorithm,
-                         monkeypatch, numpy_env)
+                         producer)
 
 
 class TestCoreSelection:
-    def test_default_core_is_array(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ARRAYCORE", raising=False)
-        assert default_core() == "array"
-        assert set(CORES) == {"array", "object"}
-
-    @pytest.mark.parametrize("env,expected", [
-        ("0", "object"), ("off", "object"), ("object", "object"),
-        ("1", "array"), ("on", "array"), ("array", "array"),
-        ("", "array"),
-    ])
-    def test_env_selects_core(self, env, expected, monkeypatch):
-        monkeypatch.setenv("REPRO_ARRAYCORE", env)
-        assert default_core() == expected
+    def test_esp_detection_runs_on_array_core(self):
+        for algorithm, array_detector in (("mrw", ArrayMrwDetector),
+                                          ("srw", ArraySrwDetector)):
+            detection = detect_races(build("def main() {}"),
+                                     algorithm=algorithm)
+            assert type(detection.detector) is array_detector
 
     def test_unknown_core_rejected(self):
-        with pytest.raises(ValueError, match="core"):
-            detect_races(build("def main() {}"), core="jit")
+        # The core selector is gone: passing one fails loudly instead of
+        # being silently ignored.
+        with pytest.raises(TypeError, match="core"):
+            detect_races(build("def main() {}"), core="object")
 
     def test_custom_detector_uses_object_core(self):
         from repro.races import VectorClockDetector
@@ -159,13 +165,10 @@ class TestCoreSelection:
         assert isinstance(detection.detector, VectorClockDetector)
         assert not detection.report.is_race_free
 
-    def test_numpy_mode_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMPY", "0")
-        assert numpy_mode() == "off"
-        monkeypatch.setenv("REPRO_NUMPY", "on")
-        assert numpy_mode() == "on"
-        monkeypatch.delenv("REPRO_NUMPY")
-        assert numpy_mode() == "auto"
+    def test_custom_detector_cannot_record_trace(self):
+        with pytest.raises(ValueError, match="record_trace"):
+            detect_races(build("def main() {}"),
+                         detector=make_detector("mrw"), record_trace=True)
 
 
 class TestArrayCoreBehavior:
@@ -174,7 +177,7 @@ class TestArrayCoreBehavior:
              "print(x); }")
 
     def test_racefree_detection_defers_tree(self):
-        detection = detect_races(build(self.CLEAN), core="array")
+        detection = detect_races(build(self.CLEAN))
         assert callable(detection._dpst)  # not materialized yet
         count = detection.dpst_node_count  # known without the tree
         assert callable(detection._dpst)
@@ -184,7 +187,7 @@ class TestArrayCoreBehavior:
         assert tree.node_count() == count
 
     def test_racy_detection_has_tree_backed_report(self):
-        detection = detect_races(build(self.RACY), core="array")
+        detection = detect_races(build(self.RACY))
         assert not detection.report.is_race_free
         tree = detection.dpst
         by_index = {node.index: node for node in tree.walk()}
@@ -195,39 +198,51 @@ class TestArrayCoreBehavior:
             assert by_index[race.sink.index] is race.sink
 
     def test_record_trace_returns_trace(self):
-        detection = detect_races(build(self.RACY), core="array",
-                                 record_trace=True)
+        detection = detect_races(build(self.RACY), record_trace=True)
         trace = detection.trace
         assert trace is not None
         assert trace.output == detection.execution.output
         assert trace.ops == detection.execution.ops
         # And the trace replays through the same core.
-        from repro.races.replay import replay_detection
         replayed = replay_detection(trace, build(self.RACY))
         assert norm_report(replayed.report) == \
             norm_report(detection.report)
 
     def test_srw_shadow_is_constant_space(self):
-        detection = detect_races(build(self.RACY), algorithm="srw",
-                                 core="array")
+        detection = detect_races(build(self.RACY), algorithm="srw")
         assert detection.detector.shadow
         for entry in detection.detector.shadow.values():
             assert len(entry) == 4
 
-    def test_forced_numpy_matches_stdlib_rows(self, monkeypatch):
-        pytest.importorskip("numpy")
-        source = DUP_HEAVY["dup-racy"]
-        rows = {}
-        for env in NUMPY_MODES:
-            monkeypatch.setenv("REPRO_NUMPY", env)
-            detection = detect_races(build(source), core="array")
-            # Raw addresses come from a process-global counter; compare
-            # the normalized report, not raw payload rows.
-            rows[env] = norm_report(detection.report)
-        assert rows["0"] == rows["1"] and rows["0"]
-
     def test_payload_races_are_report_rows(self):
-        detection = detect_races(build(self.RACY), core="array")
+        detection = detect_races(build(self.RACY))
         payload = detection.to_payload()
         assert payload["races"] == detection.report.to_rows()
         assert payload["race_count"] == len(payload["races"])
+
+
+#: detect, then an MRW and an SRW repair (with replay and incremental
+#: re-detection at their defaults), printing whether numpy got imported.
+NO_NUMPY_SCRIPT = """
+import sys
+from repro.lang import parse
+from repro.races import detect_races
+from repro.repair import repair_program
+source = "var x = 0; def main() { async { x = 1; } print(x); }"
+assert not detect_races(parse(source)).report.is_race_free
+for algorithm in ("mrw", "srw"):
+    assert repair_program(parse(source), algorithm=algorithm).converged
+print("numpy" in sys.modules)
+"""
+
+
+def test_pipeline_never_imports_numpy():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH", ""))
+        if p)
+    out = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    assert out.strip() == "False"

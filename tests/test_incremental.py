@@ -1,13 +1,14 @@
-"""Incremental re-detection (races/incremental.py): differential,
-fallback and stride tests.
+"""Incremental re-detection (races/incremental.py): differential and
+fallback tests.
 
 Incremental replay must be *indistinguishable* from a full replay and
 from re-execution — identical race reports, identical S-DPST, identical
-placements and byte-identical repaired source — while re-scanning only
-the dirty window (MRW re-scans nothing at all: structure only).  These
-tests enforce that bit-for-bit over the multi-iteration ``stress-*``
-repair workloads and the student-homework corpus, for both ESP-bags
-variants, and pin down every structural-miss fallback path.
+placements and byte-identical repaired source — while re-scanning no
+access at all (the MRW row transform runs on a structure-only scan).
+These tests enforce that bit-for-bit over the multi-iteration
+``stress-*`` repair workloads and the student-homework corpus, for both
+ESP-bags variants (an SRW baseline always misses and falls back), and
+pin down every structural-miss fallback path.
 """
 
 from __future__ import annotations
@@ -27,11 +28,7 @@ from repro.bench.students import (
 from repro.errors import RepairError
 from repro.lang import parse, strip_finishes
 from repro.races import detect_races
-from repro.races.incremental import (
-    IncrementalMiss,
-    checkpoint_stride,
-    incremental_replay,
-)
+from repro.races.incremental import IncrementalMiss, incremental_replay
 from repro.races.replay import _injection_chains, replay_detection
 from repro.repair import repair_program
 from repro.repair.engine import RepairEngine, incremental_enabled_default
@@ -60,25 +57,6 @@ STUDENT_SOURCES = [
     for i, (_desc, source) in enumerate(
         RACY_TEMPLATES + OVERSYNC_TEMPLATES + MATCHED_TEMPLATES)
 ]
-
-#: An early *pre-existing* (recorded) finish followed by a racy region:
-#: its ``exit_finish`` event is a checkpoint site before any dirty
-#: window, so SRW incremental replay can resume instead of falling back.
-SRW_RESUME_SOURCE = """
-def main(n) {
-    var a = new int[n];
-    finish {
-        async {
-            for (var i = 0; i < n; i = i + 1) { a[i] = i * 2; }
-        }
-        for (var j = 0; j < n; j = j + 1) { print(j); }
-    }
-    var x = 0;
-    async { x = 1; }
-    x = x + 1;
-}
-"""
-
 
 def _stress_workload(name):
     source, inputs = STRESS_PROGRAMS[name]
@@ -186,7 +164,7 @@ def test_repair_differential_assignment(algorithm):
 
 
 # ----------------------------------------------------------------------
-# The fast/resume paths actually engage (and say so in telemetry)
+# MRW repairs take the fast path, SRW repairs never go incremental
 # ----------------------------------------------------------------------
 
 def test_mrw_repair_hits_fast_path():
@@ -206,27 +184,10 @@ def test_mrw_repair_hits_fast_path():
     assert result.replay_fallbacks == []
 
 
-def test_srw_repair_resumes_from_checkpoint(monkeypatch):
-    monkeypatch.setenv("REPRO_CKPT_STRIDE", "1")
-    with telemetry.session("inc") as tel:
-        inc = repair_program(parse(SRW_RESUME_SOURCE), (30,),
-                             algorithm="srw", reuse_trace=True,
-                             incremental=True)
-    ree = repair_program(parse(SRW_RESUME_SOURCE), (30,), algorithm="srw",
-                         reuse_trace=False)
-    assert inc.repaired_source == ree.repaired_source
-    counters = tel.counters.as_dict()
-    assert counters.get("incremental.resumes", 0) >= 1
-    assert counters.get("incremental.checkpoints", 0) >= 1
-    # The resume skipped the pre-existing finish region: the re-scanned
-    # window is a strict fraction of the trace.
-    assert 0 < counters["incremental.window_events"] \
-        < counters["incremental.events_total"]
-
-
-def test_srw_without_usable_checkpoint_falls_back():
-    """A finish-free baseline trace has no checkpoint sites before the
-    dirty window, so SRW re-scans fully — with identical results."""
+def test_srw_repair_is_never_incremental():
+    """SRW rows cannot be transformed, so the engine does not collect
+    incremental state for SRW at all: full replays, no ``incremental.*``
+    counters, identical repaired source."""
     program, args = _stress_workload("stress-nested")
     with telemetry.session("inc") as tel:
         inc = repair_program(program, args, algorithm="srw",
@@ -234,9 +195,14 @@ def test_srw_without_usable_checkpoint_falls_back():
     ree = repair_program(_stress_workload("stress-nested")[0], args,
                          algorithm="srw", reuse_trace=False)
     assert inc.repaired_source == ree.repaired_source
+    assert len(inc.iterations) >= 2
+    detections = [it.detection for it in inc.iterations]
+    detections.append(inc.final_detection)
+    assert all(d.inc_state is None for d in detections)
+    assert any(d.replayed for d in detections)
     counters = tel.counters.as_dict()
-    assert counters.get("incremental.resumes", 0) == 0
-    assert counters.get("incremental.fallbacks", 0) >= 1
+    assert not [name for name in counters
+                if name.startswith("incremental.")]
     assert counters.get("repair.replay_fallbacks", 0) == 0
 
 
@@ -267,6 +233,25 @@ def test_miss_on_foreign_trace_and_algorithm():
         incremental_replay(other_trace, "mrw", chains, state)
     with pytest.raises(IncrementalMiss):
         incremental_replay(trace, "srw", chains, state)
+
+
+def test_srw_without_usable_checkpoint_falls_back():
+    """SRW has no incremental path (no checkpoint to resume from): a
+    replay asked to re-detect incrementally against an SRW baseline
+    misses and runs a full replay — with identical results."""
+    program, args = _stress_workload("stress-nested")
+    trace, state = _baseline_for(program, args, algorithm="srw")
+    repaired = repair_program(program, args, algorithm="srw",
+                              reuse_trace=False).repaired
+    with telemetry.session("inc") as tel:
+        inc = replay_detection(trace, repaired, algorithm="srw",
+                               incremental=True, baseline=state)
+    full = replay_detection(trace, repaired, algorithm="srw")
+    counters = tel.counters.as_dict()
+    assert counters.get("incremental.fallbacks", 0) == 1
+    assert counters.get("incremental.hits", 0) == 0
+    assert norm_report(inc.report) == norm_report(full.report)
+    assert dpst_sig(inc.dpst) == dpst_sig(full.dpst)
 
 
 def test_shrinking_chains_fall_back_to_full_replay():
@@ -312,52 +297,6 @@ def test_race_dense_trace_takes_cost_guard_fallback():
 
 
 # ----------------------------------------------------------------------
-# Checkpoint stride: parsing and edge cases
-# ----------------------------------------------------------------------
-
-def test_checkpoint_stride_env(monkeypatch):
-    monkeypatch.delenv("REPRO_CKPT_STRIDE", raising=False)
-    assert checkpoint_stride(800) == 100
-    assert checkpoint_stride(4) == 1
-    for off in ("0", "off", "none"):
-        monkeypatch.setenv("REPRO_CKPT_STRIDE", off)
-        assert checkpoint_stride(800) is None
-    monkeypatch.setenv("REPRO_CKPT_STRIDE", "17")
-    assert checkpoint_stride(800) == 17
-
-
-@pytest.mark.parametrize("stride", ["1", "1000000"])
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_stride_edge_cases(monkeypatch, stride, algorithm):
-    """Stride 1 (checkpoint at every finish exit) and stride far beyond
-    the trace length (no checkpoints at all) both stay bit-identical."""
-    monkeypatch.setenv("REPRO_CKPT_STRIDE", stride)
-    program, args = _stress_workload("stress-nested")
-    inc = repair_program(program, args, algorithm=algorithm,
-                         reuse_trace=True, incremental=True)
-    monkeypatch.delenv("REPRO_CKPT_STRIDE")
-    ree = repair_program(_stress_workload("stress-nested")[0], args,
-                         algorithm=algorithm, reuse_trace=False)
-    assert inc.converged
-    assert inc.repaired_source == ree.repaired_source
-
-
-def test_stride_disabled_still_correct(monkeypatch):
-    monkeypatch.setenv("REPRO_CKPT_STRIDE", "off")
-    program, args = _stress_workload("stress-chain")
-    with telemetry.session("inc") as tel:
-        inc = repair_program(program, args, algorithm="mrw",
-                             reuse_trace=True, incremental=True)
-    monkeypatch.delenv("REPRO_CKPT_STRIDE")
-    ree = repair_program(_stress_workload("stress-chain")[0], args,
-                         algorithm="mrw", reuse_trace=False)
-    assert inc.repaired_source == ree.repaired_source
-    counters = tel.counters.as_dict()
-    assert counters.get("incremental.checkpoints", 0) == 0
-    assert counters.get("incremental.hits", 0) >= 2  # MRW needs none
-
-
-# ----------------------------------------------------------------------
 # Engine/env/CLI toggles and result surfacing
 # ----------------------------------------------------------------------
 
@@ -374,9 +313,10 @@ def test_incremental_env_toggle(monkeypatch):
     monkeypatch.setenv("REPRO_INCREMENTAL", "0")
     assert RepairEngine(incremental=True).incremental
     monkeypatch.delenv("REPRO_INCREMENTAL")
-    # Incremental rides on replay: no replay (or no ESP-bags) — no
-    # incremental, regardless of the flag.
+    # Incremental rides on replay and the MRW row transform: no replay
+    # (or not MRW) — no incremental, regardless of the flag.
     assert not RepairEngine(reuse_trace=False, incremental=True).incremental
+    assert not RepairEngine(algorithm="srw", incremental=True).incremental
     assert not RepairEngine(algorithm="vc", incremental=True).incremental
 
 

@@ -9,10 +9,8 @@ The array core's correctness hangs on two recorder invariants:
   is_write``) decodes back to precisely the ``(addr, kind)`` sequence
   the observer saw.
 
-Both are checked for both producers: the record-only
-:class:`~repro.runtime.recorder.TraceBuffer` (the array core's live
-first run) and the teeing :class:`~repro.runtime.recorder.TraceRecorder`
-(the object-core recording run whose traces feed replay).
+Both are checked on :class:`~repro.runtime.recorder.TraceBuffer`, the
+array core's live first-run producer, whose traces also feed replay.
 """
 
 from __future__ import annotations
@@ -20,11 +18,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dpst.builder import DpstBuilder
 from repro.lang import parse
-from repro.races import detect_races
+from repro.races import MrwEspBagsDetector, detect_races
 from repro.races.replay import replay_detection
-from repro.runtime.recorder import TraceBuffer, TraceRecorder
+from repro.runtime.recorder import TraceBuffer
 
 # ----------------------------------------------------------------------
 # Synthetic access scripts: the three real address shapes, built fresh
@@ -74,36 +71,27 @@ def _expected_sequence(script):
             for key, is_write, _fused in script]
 
 
-def _producers():
-    yield "buffer", TraceBuffer()
-    yield "recorder", TraceRecorder(DpstBuilder())
-
-
 class TestPackedEncoding:
     @given(script=_accesses, boundaries=_boundaries)
     @settings(max_examples=60, deadline=None)
     def test_decode_is_exact_inverse(self, script, boundaries):
-        expected = _expected_sequence(script)
-        for label, producer in _producers():
-            trace = _drive(producer, script, boundaries)
-            assert trace.decode_accesses() == expected, label
+        trace = _drive(TraceBuffer(), script, boundaries)
+        assert trace.decode_accesses() == _expected_sequence(script)
 
     @given(script=_accesses, boundaries=_boundaries)
     @settings(max_examples=60, deadline=None)
     def test_interning_is_stable_and_dense(self, script, boundaries):
-        for label, producer in _producers():
-            trace = _drive(producer, script, boundaries)
-            # One table entry per distinct address value, however many
-            # aliased tuple objects carried it ...
-            distinct = []
-            for key, _w, _f in script:
-                addr = _make_addr(key)
-                if addr not in distinct:
-                    distinct.append(addr)
-            assert trace.addr_table == distinct, label  # first-seen order
-            # ... and ids are dense indices into the table.
-            assert all(0 <= code >> 1 < len(distinct)
-                       for code in trace.acodes), label
+        trace = _drive(TraceBuffer(), script, boundaries)
+        # One table entry per distinct address value, however many
+        # aliased tuple objects carried it ...
+        distinct = []
+        for key, _w, _f in script:
+            addr = _make_addr(key)
+            if addr not in distinct:
+                distinct.append(addr)
+        assert trace.addr_table == distinct  # first-seen order
+        # ... and ids are dense indices into the table.
+        assert all(0 <= code >> 1 < len(distinct) for code in trace.acodes)
 
     @given(script=_accesses)
     @settings(max_examples=30, deadline=None)
@@ -111,22 +99,8 @@ class TestPackedEncoding:
         """Reversing the script permutes first-seen id assignment; the
         decode must still be exact for the permuted stream."""
         reverse = list(reversed(script))
-        for _label, producer in _producers():
-            trace = _drive(producer, reverse, set())
-            assert trace.decode_accesses() == _expected_sequence(reverse)
-
-    @given(script=_accesses, boundaries=_boundaries)
-    @settings(max_examples=30, deadline=None)
-    def test_producers_agree_bit_for_bit(self, script, boundaries):
-        """The record-only buffer and the teeing recorder emit identical
-        arrays for one event stream."""
-        traces = [_drive(producer, script, boundaries)
-                  for _label, producer in _producers()]
-        a, b = traces
-        assert a.acodes == b.acodes
-        assert a.addr_table == b.addr_table
-        assert a.starts == b.starts
-        assert a.kinds == b.kinds
+        trace = _drive(TraceBuffer(), reverse, set())
+        assert trace.decode_accesses() == _expected_sequence(reverse)
 
 
 class TestLiveAndReplayProducers:
@@ -144,21 +118,34 @@ class TestLiveAndReplayProducers:
     """
 
     def test_live_run_decodes_identically_across_cores(self):
-        """Both recording paths (TraceBuffer under the array core,
-        TraceRecorder under the object core) decode to the same
-        normalized (addr, kind) sequence for one program."""
-        sequences = {}
-        for core in ("array", "object"):
-            detection = detect_races(parse(self.SOURCE), (8,), core=core,
-                                     record_trace=True)
+        """The array core's recorded trace decodes to the same
+        normalized (addr, kind) sequence the object reference's detector
+        is fed inline for one program."""
+
+        class Logging(MrwEspBagsDetector):
+            def __init__(self):
+                super().__init__()
+                self.log = []
+
+            def on_read(self, addr, task, step, node):
+                self.log.append((addr, "read"))
+                super().on_read(addr, task, step, node)
+
+            def on_write(self, addr, task, step, node):
+                self.log.append((addr, "write"))
+                super().on_write(addr, task, step, node)
+
+        def normalize(accesses):
             names = {}
-            norm = []
-            for addr, kind in detection.trace.decode_accesses():
-                name = names.setdefault(addr, (addr[0], len(names)))
-                norm.append((name, kind))
-            sequences[core] = norm
-        assert sequences["array"] == sequences["object"]
-        assert sequences["array"]  # non-empty
+            return [(names.setdefault(addr, (addr[0], len(names))), kind)
+                    for addr, kind in accesses]
+
+        array = detect_races(parse(self.SOURCE), (8,), record_trace=True)
+        logging = Logging()
+        detect_races(parse(self.SOURCE), (8,), detector=logging)
+        decoded = normalize(array.trace.decode_accesses())
+        assert decoded == normalize(logging.log)
+        assert decoded  # non-empty
 
     def test_replay_consumes_the_decoded_stream(self):
         """The replay producer reads the same packed arrays the decode

@@ -37,6 +37,7 @@ class TestSubpackageSurfaces:
         from repro.runtime import (  # noqa: F401
             Interpreter, run_program, check_determinism, run_deferred,
             BUILTIN_NAMES, ArrayValue, StructValue, DeterministicRng,
+            ExecutionTrace,
         )
 
     def test_dpst(self):
@@ -46,11 +47,16 @@ class TestSubpackageSurfaces:
         )
 
     def test_races(self):
+        import repro.races
         from repro.races import (  # noqa: F401
             detect_races, make_detector, DataRace, RaceReport,
             SrwEspBagsDetector, MrwEspBagsDetector, OracleDetector,
-            VectorClockDetector,
+            VectorClockDetector, ArrayMrwDetector, ArraySrwDetector,
+            run_arraycore, replay_detection, DetectionResult,
         )
+
+        # One production ESP-bags path: no detection-core selector.
+        assert "CORES" not in repro.races.__all__
 
     def test_graph(self):
         from repro.graph import (  # noqa: F401

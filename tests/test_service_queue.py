@@ -49,6 +49,32 @@ def ok_result(job):
     return JobResult("ok", job.kind, job.source_name, result={"n": 1})
 
 
+def _proc_state(pid):
+    """The ``/proc`` state letter of ``pid``, or ``None`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+def _child_pids(pid):
+    """Direct children of ``pid``, read from ``/proc``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
 class TestLeaseProtocol:
     def test_submit_claim_complete_round_trip(self, tmp_path):
         queue = JobQueue(str(tmp_path / "q.db"))
@@ -323,9 +349,21 @@ class TestCrashResume:
                 time.sleep(0.02)
             else:
                 pytest.fail("victim node never leased a job")
+            workers = (_child_pids(victim.pid)
+                       if os.path.isdir("/proc") else [])
         finally:
             victim.kill()
             victim.wait(timeout=30)
+
+        # The victim's pool workers notice the dead parent and exit (a
+        # zombie awaiting its reaper counts as exited).
+        deadline = time.monotonic() + 10.0
+        alive = workers
+        while alive and time.monotonic() < deadline:
+            alive = [pid for pid in alive
+                     if _proc_state(pid) not in (None, "Z")]
+            time.sleep(0.05)
+        assert not alive, f"victim workers outlived their node: {alive}"
 
         leaked = queue.counts("b")
         assert leaked["done"] + leaked["leased"] + leaked["queued"] == total

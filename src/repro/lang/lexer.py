@@ -1,13 +1,14 @@
-"""Hand-written lexer for the mini-HJ language."""
+"""Regex-driven lexer for the mini-HJ language."""
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from ..errors import LexError
 from .tokens import KEYWORDS, Token, TokenType
 
-_TWO_CHAR_OPS = {
+_OPERATORS = {
     "==": TokenType.EQ,
     "!=": TokenType.NE,
     "<=": TokenType.LE,
@@ -20,9 +21,6 @@ _TWO_CHAR_OPS = {
     "-=": TokenType.MINUS_ASSIGN,
     "*=": TokenType.STAR_ASSIGN,
     "/=": TokenType.SLASH_ASSIGN,
-}
-
-_ONE_CHAR_OPS = {
     "(": TokenType.LPAREN,
     ")": TokenType.RPAREN,
     "{": TokenType.LBRACE,
@@ -49,142 +47,117 @@ _ONE_CHAR_OPS = {
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "0": "\0"}
 
+#: One alternative per token class, tried in order at each offset.
+#: Comments come before operators so ``//`` and ``/*`` are never two
+#: slashes; two-character operators come before one-character ones
+#: (maximal munch, longest spelling first).  ``\d`` is exactly
+#: ``str.isdecimal`` and ``\w`` exactly ``str.isalnum`` plus ``_``, so a
+#: word run is an identifier or keyword when it starts with a letter or
+#: ``_``; any other start (``'²'``, ``'½'``) is an unexpected character.
+#: ``open_comment`` and ``open_string`` catch what the complete forms
+#: could not match, and ``other`` catches any single character, so every
+#: offset matches and the scan never skips input.
+_TOKEN_RE = re.compile(r"""
+    (?P<space>[ \t\r\n]+)
+  | (?P<comment>//[^\n]*|/\*.*?\*/)
+  | (?P<open_comment>/\*)
+  | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+  | (?P<word>\w+)
+  | (?P<string>"(?:[^"\\\n]|\\[ntr"\\0])*")
+  | (?P<open_string>")
+  | (?P<op>""" + "|".join(re.escape(op) for op in sorted(
+        _OPERATORS, key=len, reverse=True)) + r""")
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+
+_ESCAPE_RE = re.compile(r"\\(.)")
+#: the longest run of plain string characters, for error diagnosis.
+_STRING_RUN_RE = re.compile(r'[^"\\\n]*')
+
+
+def _unescape(match: "re.Match[str]") -> str:
+    return _ESCAPES[match.group(1)]
+
 
 class Lexer:
     """Converts mini-HJ source text into a list of tokens.
 
     Supports ``//`` line comments and ``/* ... */`` block comments, decimal
     integer and floating-point literals, and double-quoted strings with the
-    usual escapes.
+    usual escapes.  One compiled pattern scans the source token by token;
+    a token's line and column come from the offset of the last newline
+    before it.
     """
 
     def __init__(self, source: str) -> None:
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
 
     def tokenize(self) -> List[Token]:
         """Lex the entire input and return the token list (ending in EOF)."""
+        source = self.source
         tokens: List[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.source):
-                tokens.append(Token(TokenType.EOF, None, self.line, self.column))
-                return tokens
-            tokens.append(self._next_token())
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.source[idx] if idx < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
+        append = tokens.append
+        line = 1
+        line_start = 0  # offset of the first character of ``line``
+        for match in _TOKEN_RE.finditer(source):
+            kind = match.lastgroup
+            start = match.start()
+            if kind == "space" or kind == "comment":
+                newlines = source.count("\n", start, match.end())
+                if newlines:
+                    line += newlines
+                    line_start = source.rindex("\n", start, match.end()) + 1
+                continue
+            text = match.group()
+            column = start - line_start + 1
+            if kind == "word":
+                if text[0].isalpha() or text[0] == "_":
+                    append(Token(KEYWORDS.get(text, TokenType.IDENT),
+                                 text, line, column))
+                    continue
+                kind = "other"
+            if kind == "op":
+                append(Token(_OPERATORS[text], text, line, column))
+            elif kind == "number":
+                if text.isdecimal():
+                    append(Token(TokenType.INT, int(text), line, column))
                 else:
-                    self.column += 1
-                self.pos += 1
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.column
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self.pos >= len(self.source):
-                        raise LexError("unterminated block comment",
-                                       start_line, start_col)
-                    self._advance()
-                self._advance(2)
+                    append(Token(TokenType.FLOAT, float(text), line, column))
+            elif kind == "string":
+                body = text[1:-1]
+                if "\\" in body:
+                    body = _ESCAPE_RE.sub(_unescape, body)
+                append(Token(TokenType.STRING, body, line, column))
+            elif kind == "open_comment":
+                raise LexError("unterminated block comment", line, column)
+            elif kind == "open_string":
+                self._string_error(start, line, column, line_start)
             else:
-                return
+                raise LexError(f"unexpected character {text[0]!r}",
+                               line, column)
+        append(Token(TokenType.EOF, None, line, len(source) - line_start + 1))
+        return tokens
 
-    def _next_token(self) -> Token:
-        line, column = self.line, self.column
-        ch = self._peek()
-        if ch.isdigit():
-            return self._lex_number(line, column)
-        if ch.isalpha() or ch == "_":
-            return self._lex_word(line, column)
-        if ch == '"':
-            return self._lex_string(line, column)
-        two = ch + self._peek(1)
-        if two in _TWO_CHAR_OPS:
-            self._advance(2)
-            return Token(_TWO_CHAR_OPS[two], two, line, column)
-        if ch in _ONE_CHAR_OPS:
-            self._advance()
-            return Token(_ONE_CHAR_OPS[ch], ch, line, column)
-        raise LexError(f"unexpected character {ch!r}", line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self._peek().isdigit():
-            self._advance()
-        is_float = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in "eE" and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.source[start:self.pos]
-        if is_float:
-            return Token(TokenType.FLOAT, float(text), line, column)
-        return Token(TokenType.INT, int(text), line, column)
-
-    def _lex_word(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start:self.pos]
-        if text in KEYWORDS:
-            return Token(KEYWORDS[text], text, line, column)
-        return Token(TokenType.IDENT, text, line, column)
-
-    def _lex_string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        chars: List[str] = []
+    def _string_error(self, start: int, line: int, column: int,
+                      line_start: int) -> None:
+        """Raise the error for the string literal opening at ``start``,
+        which the complete-string pattern did not match: the first bad
+        escape, raw newline or end of input inside it."""
+        source = self.source
+        pos = start + 1
         while True:
-            ch = self._peek()
-            if ch == "":
+            pos = _STRING_RUN_RE.match(source, pos).end()
+            if pos >= len(source):
                 raise LexError("unterminated string literal", line, column)
-            if ch == "\n":
+            if source[pos] == "\n":
                 raise LexError("newline in string literal", line, column)
-            if ch == '"':
-                self._advance()
-                return Token(TokenType.STRING, "".join(chars), line, column)
-            if ch == "\\":
-                esc = self._peek(1)
-                if esc not in _ESCAPES:
-                    raise LexError(f"bad escape sequence \\{esc}",
-                                   self.line, self.column)
-                chars.append(_ESCAPES[esc])
-                self._advance(2)
-            else:
-                chars.append(ch)
-                self._advance()
+            # A backslash: the only other stop, as a closing quote would
+            # have completed the match.
+            escape = source[pos + 1:pos + 2]
+            if escape not in _ESCAPES:
+                raise LexError(f"bad escape sequence \\{escape}",
+                               line, pos - line_start + 1)
+            pos += 2
 
 
 def tokenize(source: str) -> List[Token]:

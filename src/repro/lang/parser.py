@@ -73,6 +73,9 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
+        if offset == 0:
+            # ``pos`` never passes the final EOF token (see ``_advance``).
+            return self.tokens[self.pos]
         idx = min(self.pos + offset, len(self.tokens) - 1)
         return self.tokens[idx]
 

@@ -159,10 +159,12 @@ class ResultCache:
         self.stats.stores += 1
         return True
 
-    def lookup(self, job: Job) -> Optional[JobResult]:
+    def lookup(self, job: Job, key: Optional[str] = None
+               ) -> Optional[JobResult]:
         """``get`` + rehydration: the result for ``job`` marked as a
-        cache hit, or ``None``."""
-        entry = self.get(self.key_for(job))
+        cache hit, or ``None``.  ``key``, when given, must be
+        ``key_for(job)``; passing it saves canonicalizing the job again."""
+        entry = self.get(self.key_for(job) if key is None else key)
         if entry is None:
             return None
         hit = JobResult.from_dict(entry)

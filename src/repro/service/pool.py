@@ -294,6 +294,9 @@ class WorkerPool:
         self._counter = 0
         self.stats = PoolStats()
         self._stop = threading.Event()
+        #: set by ``submit`` and ``shutdown`` so an idle dispatcher acts
+        #: at once instead of at its next poll.
+        self._wakeup = threading.Event()
         self._started = False
         self._dispatcher: Optional[threading.Thread] = None
 
@@ -325,6 +328,7 @@ class WorkerPool:
                         break
                 time.sleep(self.poll_interval_s)
         self._stop.set()
+        self._wakeup.set()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=5.0)
         for handle in self._handles:
@@ -356,16 +360,19 @@ class WorkerPool:
         """
         if not self._started:
             raise RuntimeError("pool is not started")
+        # The key parses and pretty-prints the source: by far the most
+        # expensive step here.  It touches no pool state, so it runs
+        # before the lock, where the dispatcher can go on handing jobs
+        # to workers meanwhile.
+        key = self.cache.key_for(job) if self.cache is not None else None
         with self._lock:
             self._counter += 1
             job_id = f"job-{self._counter:06d}"
             self._jobs[job_id] = job
             self._submit_epoch[job_id] = time.time()
             self.stats.submitted += 1
-            key = None
-            if self.cache is not None:
-                key = self.cache.key_for(job)
-                hit = self.cache.lookup(job)
+            if key is not None:
+                hit = self.cache.lookup(job, key)
                 if hit is not None:
                     self._finish(job_id, hit)
                     return job_id
@@ -376,6 +383,7 @@ class WorkerPool:
                 self._key_owner[key] = job_id
                 self._owner_key[job_id] = key
             self._pending.append(job_id)
+        self._wakeup.set()
         return job_id
 
     def cancel_pending(self) -> List[str]:
@@ -523,7 +531,12 @@ class WorkerPool:
     def _drain_results(self) -> None:
         conns = [h.conn for h in self._handles if not h.idle]
         if not conns:
-            time.sleep(self.poll_interval_s)
+            # Nothing to drain: sleep until a submission (or shutdown)
+            # or, at the latest, the next policing round.  ``submit``
+            # queues its job before it sets the event, so a set that
+            # this clear swallows is seen by the dispatch that follows.
+            self._wakeup.wait(self.poll_interval_s)
+            self._wakeup.clear()
             return
         try:
             ready = connection.wait(conns, timeout=self.poll_interval_s)

@@ -72,6 +72,31 @@ class TestNumbers:
     def test_negative_exponent(self):
         assert tokenize("1e-2")[0].value == pytest.approx(0.01)
 
+    def test_unicode_decimal_digits_are_integers(self):
+        tok = tokenize("\u0663\u0664")[0]  # Arabic-Indic 3, 4
+        assert tok.type is TokenType.INT
+        assert tok.value == 34
+
+    def test_superscript_digit_is_unexpected_character(self):
+        # '\u00b2'.isdigit() is true but int() rejects it: it must be a
+        # lex error, not a ValueError escaping the lexer.
+        with pytest.raises(LexError) as info:
+            tokenize("def main() { var x = \u00b2; }")
+        assert info.value.bare_message == "unexpected character '\u00b2'"
+        assert (info.value.line, info.value.column) == (1, 22)
+
+    def test_superscript_digit_ends_a_number(self):
+        with pytest.raises(LexError) as info:
+            tokenize("x = 1\u00b2;")
+        assert info.value.bare_message == "unexpected character '\u00b2'"
+        assert info.value.column == 6
+
+    def test_superscript_digit_inside_identifier(self):
+        # Identifiers keep the isalpha/isalnum rules.
+        tok = tokenize("x\u00b2")[0]
+        assert tok.type is TokenType.IDENT
+        assert tok.value == "x\u00b2"
+
     def test_dot_without_digit_is_member_access(self):
         # `1.` should lex as INT then DOT, not a malformed float.
         assert types("p.x") == [TokenType.IDENT, TokenType.DOT,
@@ -96,6 +121,20 @@ class TestStrings:
     def test_bad_escape(self):
         with pytest.raises(LexError):
             tokenize(r'"\q"')
+
+    def test_string_errors_carry_positions(self):
+        cases = {
+            'x = "oops': ("unterminated string literal", 1, 5),
+            'x = "a\nb"': ("newline in string literal", 1, 5),
+            'x = "ab\\q"': ("bad escape sequence \\q", 1, 8),
+            'x = "ab\\': ("bad escape sequence \\", 1, 8),
+        }
+        for source, expected in cases.items():
+            with pytest.raises(LexError) as info:
+                tokenize(source)
+            error = info.value
+            assert (error.bare_message, error.line, error.column) == \
+                expected, source
 
 
 class TestOperators:
@@ -142,12 +181,22 @@ class TestComments:
         with pytest.raises(LexError):
             tokenize("/* never closed")
 
+    def test_unterminated_block_comment_reports_its_start(self):
+        with pytest.raises(LexError) as info:
+            tokenize("a\n  /*/ b")
+        assert (info.value.line, info.value.column) == (2, 3)
+
 
 class TestPositions:
     def test_line_and_column_tracking(self):
         tokens = tokenize("a\n  b")
         assert (tokens[0].line, tokens[0].column) == (1, 1)
         assert (tokens[1].line, tokens[1].column) == (2, 3)
+
+    def test_positions_after_multiline_comment(self):
+        tokens = tokenize("a /* 1\n22\n333 */ b\n\tc")
+        assert [(t.value, t.line, t.column) for t in tokens] == [
+            ("a", 1, 1), ("b", 3, 8), ("c", 4, 2), (None, 4, 3)]
 
     def test_error_carries_position(self):
         with pytest.raises(LexError) as info:

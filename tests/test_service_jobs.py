@@ -104,6 +104,16 @@ class TestErrorCapture:
         assert result.status == "error"
         assert result.error["category"] == "lex"
 
+    def test_superscript_digit_is_a_lex_error(self):
+        # '\u00b2'.isdigit() is true but int() rejects it: the job must
+        # report a lex error, never an internal one.
+        result = run_job(Job("detect", "def main() { var x = \u00b2; }"))
+        assert result.status == "error"
+        assert result.error["category"] == "lex"
+        assert result.error["message"] == "unexpected character '\u00b2'"
+        assert (result.error["line"], result.error["column"]) == (1, 22)
+        assert "traceback" not in result.error
+
     def test_validation_error(self):
         result = run_job(Job("detect", "def f() { }"))  # no main()
         assert result.status == "error"

@@ -8,6 +8,7 @@ crashes and cancellations are contained to the job they hit.
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -36,6 +37,11 @@ def main() {
     }
 }
 """
+
+
+#: A shorter SLOW: keeps one worker busy for a fraction of a second,
+#: long enough for jobs submitted after it to be queued behind it.
+BLOCKER = SLOW.replace("2500", "300")
 
 
 def _variant(index):
@@ -312,3 +318,82 @@ class TestPoolTelemetry:
         assert len(samples) == PoolStats.MAX_PHASE_SAMPLES
         assert stats.phases_dict()["detect_races"]["count"] \
             == PoolStats.MAX_PHASE_SAMPLES
+
+
+class TestSubmitPath:
+    def test_one_canonicalization_per_submission(self, monkeypatch):
+        import repro.service.cache as cache_module
+
+        calls = []
+        original = cache_module.canonical_source
+
+        def counting(source, source_name="<cache>"):
+            calls.append(source_name)
+            return original(source, source_name)
+
+        monkeypatch.setattr(cache_module, "canonical_source", counting)
+
+        def submit(pool, job):
+            before = len(calls)
+            job_id = pool.submit(job)
+            assert len(calls) - before == 1, job.source_name
+            return job_id
+
+        with WorkerPool(workers=1, cache=ResultCache()) as pool:
+            # The blocker holds the only worker, so the owner is still
+            # queued when its twin arrives.
+            submit(pool, Job("detect", BLOCKER, source_name="blocker.hj"))
+            owner = submit(pool, Job("detect", RACY, source_name="owner.hj"))
+            twin = submit(pool, Job("detect", RACY, source_name="twin.hj"))
+            for _ in range(3):
+                assert pool.next_completed(timeout=30.0) is not None
+            hit = submit(pool, Job("detect", RACY, source_name="hit.hj"))
+            assert pool.next_completed(timeout=30.0) is not None
+            owner_result = pool.result(owner)
+            assert not owner_result.cached and not owner_result.coalesced
+            assert pool.result(twin).coalesced
+            assert pool.result(hit).cached
+        assert len(calls) == 4
+
+    def test_key_is_computed_outside_the_pool_lock(self, monkeypatch):
+        import repro.service.cache as cache_module
+
+        entered = threading.Event()
+        release = threading.Event()
+        original = cache_module.canonical_source
+
+        def slow(source, source_name="<cache>"):
+            entered.set()
+            release.wait(10.0)
+            return original(source, source_name)
+
+        monkeypatch.setattr(cache_module, "canonical_source", slow)
+        with WorkerPool(workers=1, cache=ResultCache()) as pool:
+            submitter = threading.Thread(
+                target=pool.submit, args=(Job("detect", RACY),))
+            submitter.start()
+            try:
+                assert entered.wait(10.0)
+                reader = threading.Thread(target=pool.status,
+                                          args=("job-999999",))
+                reader.start()
+                reader.join(timeout=1.0)
+                # A status read must not wait for the submission's key.
+                assert not reader.is_alive()
+            finally:
+                release.set()
+                submitter.join(timeout=10.0)
+            assert pool.next_completed(timeout=30.0) is not None
+
+    def test_idle_dispatcher_wakes_on_submit(self):
+        # The poll interval is far above the bound: only a wakeup on
+        # submission can dispatch the job in time.
+        with WorkerPool(workers=1, poll_interval_s=5.0) as pool:
+            time.sleep(0.2)  # let the dispatcher go idle
+            started = time.monotonic()
+            job_id = pool.submit(Job("detect", RACY))
+            item = pool.next_completed(timeout=10.0)
+            elapsed = time.monotonic() - started
+        assert item is not None and item[0] == job_id
+        assert item[1].status == "ok"
+        assert elapsed < 2.0

@@ -47,7 +47,7 @@ from .graph import measure_program
 from .lang import parse, serial_elision, strip_finishes, validate
 from .races import detect_races
 from .repair import repair_program
-from .runtime import BUILTIN_NAMES, ENGINES, set_default_engine
+from .runtime import BUILTIN_NAMES
 
 
 class _Diagnostic(Exception):
@@ -110,9 +110,7 @@ def _job_from_options(kind: str, options: argparse.Namespace) -> "Job":
         args=[_parse_arg(a) for a in options.arg],
         algorithm=options.algorithm,
         strip_finishes=options.strip_finishes,
-        max_iterations=getattr(options, "max_iterations", 20),
-        replay=getattr(options, "replay", None),
-        incremental=getattr(options, "incremental", None))
+        max_iterations=getattr(options, "max_iterations", 20))
 
 
 def _run_json_mode(kind: str, options: argparse.Namespace) -> int:
@@ -183,9 +181,7 @@ def _repair_text(options: argparse.Namespace) -> int:
         program = strip_finishes(program)
     args = [_parse_arg(a) for a in options.arg]
     result = repair_program(program, args, algorithm=options.algorithm,
-                            max_iterations=options.max_iterations,
-                            reuse_trace=options.replay,
-                            incremental=options.incremental)
+                            max_iterations=options.max_iterations)
     print(result.summary(), file=sys.stderr)
     if result.replay_fallbacks:
         print(f"  {len(result.replay_fallbacks)} replay fallback(s) to "
@@ -381,7 +377,6 @@ def _batch_jobs(options: argparse.Namespace) -> List["Job"]:
                 args=args, algorithm=options.algorithm,
                 strip_finishes=options.strip_finishes,
                 max_iterations=options.max_iterations,
-                replay=options.replay, incremental=options.incremental,
                 timeout_s=options.timeout,
                 trace=telemetry.TraceContext.mint())
             for path in files]
@@ -723,12 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-repair",
         description="Test-driven repair of data races in async/finish "
                     "programs (PLDI 2014 reproduction)")
-    parser.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="execution engine for every run this command performs: "
-             "'compiled' (closure-compiled, the default) or 'tree' "
-             "(the reference tree-walking interpreter); both produce "
-             "identical results")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p) -> None:
@@ -759,24 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_repair.add_argument("--json", action="store_true",
                           help="emit the machine-readable JobResult JSON "
                                "(the batch/HTTP schema) instead of text")
-    p_repair.add_argument("--replay", dest="replay", action="store_true",
-                          default=None,
-                          help="replay the recorded iteration-0 trace for "
-                               "re-detections (the default; REPRO_REPLAY=0 "
-                               "flips the process default)")
-    p_repair.add_argument("--no-replay", dest="replay", action="store_false",
-                          help="re-execute the program for every "
-                               "re-detection instead of replaying the trace")
-    p_repair.add_argument("--incremental", dest="incremental",
-                          action="store_true", default=None,
-                          help="re-detect incrementally against the previous "
-                               "iteration's detector state (the default; "
-                               "REPRO_INCREMENTAL=0 flips the process "
-                               "default); requires replay")
-    p_repair.add_argument("--no-incremental", dest="incremental",
-                          action="store_false",
-                          help="re-scan the whole trace on every replayed "
-                               "re-detection")
     p_repair.add_argument("--timings", action="store_true",
                           help="print the telemetry span tree and runtime "
                                "counters to stderr afterwards")
@@ -851,13 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="mrw")
         p.add_argument("--strip-finishes", action="store_true")
         p.add_argument("--max-iterations", type=int, default=20)
-        p.add_argument("--replay", dest="replay", action="store_true",
-                       default=None)
-        p.add_argument("--no-replay", dest="replay", action="store_false")
-        p.add_argument("--incremental", dest="incremental",
-                       action="store_true", default=None)
-        p.add_argument("--no-incremental", dest="incremental",
-                       action="store_false")
         p.add_argument("--timeout", type=float, default=None,
                        help="per-job wall-clock budget in seconds")
 
@@ -1005,8 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] = None) -> int:
     parser = build_parser()
     options = parser.parse_args(argv)
-    if options.engine:
-        set_default_engine(options.engine)
     try:
         return options.func(options)
     except _Diagnostic as diagnostic:

@@ -120,7 +120,13 @@ class Lexer:
                 append(Token(_OPERATORS[text], text, line, column))
             elif kind == "number":
                 if text.isdecimal():
-                    append(Token(TokenType.INT, int(text), line, column))
+                    try:
+                        value = int(text)
+                    except ValueError:  # past the int-from-text digit limit
+                        raise LexError(
+                            f"integer literal too long ({len(text)} digits)",
+                            line, column) from None
+                    append(Token(TokenType.INT, value, line, column))
                 else:
                     append(Token(TokenType.FLOAT, float(text), line, column))
             elif kind == "string":

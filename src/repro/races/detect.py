@@ -129,7 +129,6 @@ def detect_races(program: ast.Program, args: Sequence[Any] = (),
                  detector: Optional[EspBagsDetector] = None,
                  seed: int = 20140609,
                  max_ops: int = 200_000_000,
-                 engine: Optional[str] = None,
                  record_trace: bool = False,
                  incremental: bool = False) -> DetectionResult:
     """Run ``main(*args)`` sequentially and report all data races.
@@ -138,11 +137,9 @@ def detect_races(program: ast.Program, args: Sequence[Any] = (),
     ``"srw"`` (the original single reader-writer ESP-bags), both on the
     array core, or ``"vc"`` (the vector-clock baseline).  A caller may
     instead pass a pre-built ``detector`` (e.g. the MHP oracle); it runs
-    on the object path (module docstring).  ``engine`` picks the
-    execution engine (``"tree"``/``"compiled"``); ``None`` uses the
-    process default — both engines produce identical race reports.  With
-    ``record_trace=True`` the run additionally records an execution
-    trace (``result.trace``) that
+    on the object path (module docstring).  With ``record_trace=True``
+    the run additionally records an execution trace (``result.trace``)
+    that
     :func:`~repro.races.replay.replay_detection` can re-detect from after
     finish insertions, without re-executing the program; only the array
     core records, so it raises ``ValueError`` together with a custom
@@ -152,8 +149,7 @@ def detect_races(program: ast.Program, args: Sequence[Any] = (),
     """
     if detector is None and algorithm in ("mrw", "srw"):
         return _detect_races_array(program, args, algorithm, seed,
-                                   max_ops, engine, record_trace,
-                                   incremental)
+                                   max_ops, record_trace, incremental)
     if record_trace:
         raise ValueError(
             "record_trace needs the array core: pass algorithm='mrw' or "
@@ -164,8 +160,7 @@ def detect_races(program: ast.Program, args: Sequence[Any] = (),
     with telemetry.span("detect_races", algorithm=algorithm,
                         record_trace=False, core="object"):
         builder = DpstBuilder(detector)
-        interp = Interpreter(program, builder, seed=seed, max_ops=max_ops,
-                             engine=engine)
+        interp = Interpreter(program, builder, seed=seed, max_ops=max_ops)
         # The run allocates large, long-lived graphs (S-DPST nodes, shadow
         # entries) at a steady rate; with the cyclic collector enabled every
         # generation-2 pass re-traverses the whole growing structure and can
@@ -182,7 +177,7 @@ def detect_races(program: ast.Program, args: Sequence[Any] = (),
             # span by design (separating them would require per-access
             # timing, which the overhead policy forbids).  The "dpst" and
             # "detect" spans cover the explicit finalization work.
-            with telemetry.span("execute", engine=interp.engine):
+            with telemetry.span("execute"):
                 execution = interp.run(args)
             with telemetry.span("dpst"):
                 dpst = builder.finish()
@@ -203,7 +198,7 @@ def detect_races(program: ast.Program, args: Sequence[Any] = (),
 
 def _detect_races_array(program: ast.Program, args: Sequence[Any],
                         algorithm: str, seed: int, max_ops: int,
-                        engine: Optional[str], record_trace: bool,
+                        record_trace: bool,
                         incremental: bool = False) -> DetectionResult:
     """The array-core detection path: buffer the observer stream into
     the packed encoding during the run, then detect over it in batch."""
@@ -214,8 +209,7 @@ def _detect_races_array(program: ast.Program, args: Sequence[Any],
     with telemetry.span("detect_races", algorithm=algorithm,
                         record_trace=record_trace, core="array"):
         buffer = TraceBuffer()
-        interp = Interpreter(program, buffer, seed=seed, max_ops=max_ops,
-                             engine=engine)
+        interp = Interpreter(program, buffer, seed=seed, max_ops=max_ops)
         # Same GC rationale as the object path; the buffer only appends
         # to flat lists, but the batch pass allocates the long-lived
         # shadow summaries.
@@ -223,7 +217,7 @@ def _detect_races_array(program: ast.Program, args: Sequence[Any],
         if gc_was_enabled:
             gc.disable()
         try:
-            with telemetry.span("execute", engine=interp.engine):
+            with telemetry.span("execute"):
                 execution = interp.run(args)
             trace = buffer.trace()
             collect = None

@@ -12,21 +12,24 @@ One iteration:
    static context, and splice synthetic ``finish`` statements into the
    program (Section 6).
 
-The engine then re-detects and repeats until the input is race-free.  By
-default the re-detections *replay* the iteration-0 execution trace
-(``reuse_trace=True``): finish insertion preserves serial-elision
-semantics, so the recorded access stream is still exact for the edited
-program and only the S-DPST / ESP-bags pass needs to re-run — the paper's
-step 3(e)/3(f) incremental-update role, realized as trace replay (see
-:mod:`repro.races.replay`).  When replay is unavailable (``REPRO_REPLAY=0``,
-an unsupported detector, or a trace/program mismatch) the engine falls
-back to full re-execution, which keeps every iteration's placements
-computed against ground truth.
+The engine then re-detects and repeats until the input is race-free.  The
+re-detections *replay* the iteration-0 execution trace: finish insertion
+preserves serial-elision semantics, so the recorded access stream is
+still exact for the edited program and only the S-DPST / ESP-bags pass
+needs to re-run — the paper's step 3(e)/3(f) incremental-update role,
+realized as trace replay (see :mod:`repro.races.replay`).  MRW replays
+are incremental against the previous iteration's rows
+(:mod:`repro.races.incremental`), behind a cost guard that falls back to
+a full replay.  When replay is unavailable (an unsupported detector, or
+a trace/program mismatch raising ``ReplayError``) the engine falls back
+to full re-execution, which keeps every iteration's placements computed
+against ground truth.  ``RepairEngine(reuse_trace=False)`` and
+``RepairEngine(incremental=False)`` select those reference paths; the
+tests use them to check that every path gives the same repair.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -45,30 +48,6 @@ from ..races.detect import DetectionResult, detect_races
 from .dependence import build_dependence_graph, group_races_by_nslca
 from .insertion import InsertionFinder, InsertionPoint, build_scope_table
 from .placement import solve_placement
-
-
-def replay_enabled_default() -> bool:
-    """The process-wide replay default: on unless ``REPRO_REPLAY`` says no.
-
-    ``REPRO_REPLAY=0`` (or ``false``/``off``/``no``) forces every
-    re-detection back to full re-execution; anything else — including
-    unset — leaves the trace-replay fast path on.
-    """
-    value = os.environ.get("REPRO_REPLAY", "").strip().lower()
-    return value not in ("0", "false", "off", "no")
-
-
-def incremental_enabled_default() -> bool:
-    """The process-wide incremental re-detection default: on unless
-    ``REPRO_INCREMENTAL`` says no (same convention as ``REPRO_REPLAY``).
-
-    Incremental mode only applies to MRW repairs with replay on
-    (``reuse_trace``); it changes re-detection cost, never results —
-    every incremental pass is bit-identical to a full replay, with an
-    automatic full-replay fallback on structural misses.
-    """
-    value = os.environ.get("REPRO_INCREMENTAL", "").strip().lower()
-    return value not in ("0", "false", "off", "no")
 
 
 class NslcaPlacement:
@@ -209,22 +188,18 @@ class RepairEngine:
 
     def __init__(self, algorithm: str = "mrw", max_iterations: int = 20,
                  seed: int = 20140609, max_ops: int = 200_000_000,
-                 reuse_trace: Optional[bool] = None,
-                 incremental: Optional[bool] = None) -> None:
+                 reuse_trace: bool = True,
+                 incremental: bool = True) -> None:
         if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         self.algorithm = algorithm
         self.max_iterations = max_iterations
         self.seed = seed
         self.max_ops = max_ops
-        if reuse_trace is None:
-            reuse_trace = replay_enabled_default()
         #: record the iteration-0 execution and replay it for every later
         #: re-detection instead of re-executing (only the ESP-bags
         #: detectors support replay; anything else re-executes).
         self.reuse_trace = bool(reuse_trace) and algorithm in ("mrw", "srw")
-        if incremental is None:
-            incremental = incremental_enabled_default()
         #: re-detect incrementally against the previous iteration's
         #: race rows instead of re-scanning the whole trace (requires
         #: replay and the MRW detector — SRW rows cannot be transformed;
@@ -571,21 +546,14 @@ def repair_for_inputs(program: ast.Program, inputs: Sequence[Sequence[Any]],
 
 def repair_program(program: ast.Program, args: Sequence[Any] = (),
                    algorithm: str = "mrw", max_iterations: int = 20,
-                   seed: int = 20140609, max_ops: int = 200_000_000,
-                   reuse_trace: Optional[bool] = None,
-                   incremental: Optional[bool] = None) -> RepairResult:
+                   seed: int = 20140609,
+                   max_ops: int = 200_000_000) -> RepairResult:
     """One-call repair: returns a race-free (for ``args``) program copy.
 
-    ``reuse_trace`` selects trace replay for re-detections (``None`` =
-    the ``REPRO_REPLAY`` process default, which is on); ``incremental``
-    selects incremental re-detection on top of replay (``None`` = the
-    ``REPRO_INCREMENTAL`` process default, which is on).  Raises
-    :class:`~repro.errors.RepairError` when no finish insertion can
+    Raises :class:`~repro.errors.RepairError` when no finish insertion can
     repair the program (e.g. the race is between two halves of one loop
     iteration range that no lexical finish can separate).
     """
     engine = RepairEngine(algorithm=algorithm, max_iterations=max_iterations,
-                          seed=seed, max_ops=max_ops,
-                          reuse_trace=reuse_trace,
-                          incremental=incremental)
+                          seed=seed, max_ops=max_ops)
     return engine.repair(program, args)

@@ -4,13 +4,10 @@ depth-first interpreter with instrumentation hooks."""
 from .builtins import BUILTIN_NAMES, BUILTINS, BuiltinContext, DeterministicRng
 from .env import Environment
 from .interpreter import (
-    ENGINES,
     ExecutionObserver,
     ExecutionResult,
     Interpreter,
-    get_default_engine,
     run_program,
-    set_default_engine,
 )
 from .recorder import ExecutionTrace
 from .schedules import (
@@ -27,13 +24,10 @@ __all__ = [
     "BuiltinContext",
     "DeterministicRng",
     "Environment",
-    "ENGINES",
     "ExecutionObserver",
     "ExecutionResult",
     "Interpreter",
-    "get_default_engine",
     "run_program",
-    "set_default_engine",
     "ExecutionTrace",
     "Address",
     "ArrayValue",

@@ -33,7 +33,8 @@ class DeterministicRng:
     def next_int(self, bound: int) -> int:
         """Uniform-ish integer in ``[0, bound)``; bound must be positive."""
         if bound <= 0:
-            raise RuntimeFault(f"rand_int bound must be positive, got {bound}")
+            raise RuntimeFault(f"rand_int bound must be positive, got "
+                               f"{to_display(bound)}")
         return (self.next_u64() >> 16) % bound
 
     def next_double(self) -> float:
@@ -62,7 +63,7 @@ def _want_int(value: Any, who: str) -> int:
 
 
 def _b_print(ctx: BuiltinContext, args: List[Any]) -> None:
-    ctx.output.append(" ".join(to_display(a) for a in args))
+    ctx.output.append(" ".join(to_display(a, exact=True) for a in args))
     return None
 
 
@@ -139,7 +140,7 @@ def _b_assert_true(ctx: BuiltinContext, args: List[Any]) -> None:
 
 def _b_str(ctx: BuiltinContext, args: List[Any]) -> str:
     (value,) = args
-    return to_display(value)
+    return to_display(value, exact=True)
 
 
 #: name -> (arity or None for variadic, implementation)

@@ -31,6 +31,7 @@ loop mutates the AST between iterations anyway.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import RuntimeFault
@@ -39,12 +40,15 @@ from .builtins import BUILTINS, BuiltinContext
 from .env import Environment
 from .interpreter import (
     _CHECK_INTERVAL,
+    ARITHMETIC_ERRORS,
     ExecutionObserver,
     ExecutionResult,
     StepLimitExceeded,
     _BreakSignal,
     _ContinueSignal,
     _ReturnSignal,
+    arithmetic_fault,
+    bad_length_message,
     binary_op,
     to_display,
     truth_value,
@@ -602,8 +606,8 @@ class CompiledEngine:
             items = array.items
             if not 0 <= index < len(items):
                 raise RuntimeFault(
-                    f"array index {index} out of bounds for length "
-                    f"{len(items)}", line, col)
+                    f"array index {to_display(index)} out of bounds for "
+                    f"length {len(items)}", line, col)
             addr = ("elem", array.array_id, index)
             if apply_fn is None:
                 value = value_fn(env)
@@ -812,7 +816,10 @@ class CompiledEngine:
                 kl = type(left)
                 if ((kl is int or kl is float)
                         and (type(right) is int or type(right) is float)):
-                    return fast(left, right)
+                    try:
+                        return fast(left, right)
+                    except ARITHMETIC_ERRORS as error:
+                        raise arithmetic_fault(op, error, expr) from None
                 return binary_op(op, left, right, expr)
         elif op == "/":
             def run(env: Environment) -> Any:
@@ -835,7 +842,10 @@ class CompiledEngine:
                     if right == 0:
                         raise RuntimeFault("division by zero",
                                            expr.line, expr.col)
-                    return left / right
+                    try:
+                        return left / right
+                    except ARITHMETIC_ERRORS as error:
+                        raise arithmetic_fault(op, error, expr) from None
                 return binary_op("/", left, right, expr)
         elif op == "%":
             def run(env: Environment) -> Any:
@@ -925,7 +935,10 @@ class CompiledEngine:
                 kl = type(left)
                 if ((kl is int or kl is float)
                         and (type(right) is int or type(right) is float)):
-                    return fast(left, right)
+                    try:
+                        return fast(left, right)
+                    except ARITHMETIC_ERRORS as error:
+                        raise arithmetic_fault(op, error, node) from None
                 return binary_op(op, left, right, node)
             return apply
 
@@ -958,8 +971,8 @@ class CompiledEngine:
             items = array.items
             if not 0 <= index < len(items):
                 raise RuntimeFault(
-                    f"array index {index} out of bounds for length "
-                    f"{len(items)}", line, col)
+                    f"array index {to_display(index)} out of bounds for "
+                    f"length {len(items)}", line, col)
             pending = st[1]
             st[1] = 0
             cost_read(pending, ("elem", array.array_id, index), expr)
@@ -1065,6 +1078,8 @@ class CompiledEngine:
                 if fault.line is None:
                     raise RuntimeFault(fault.bare_message, line, col)
                 raise
+            except ARITHMETIC_ERRORS as error:
+                raise arithmetic_fault(expr.name, error, expr) from None
 
         return run
 
@@ -1081,9 +1096,8 @@ class CompiledEngine:
             if type(length) is not int:
                 raise RuntimeFault("array length must be an integer",
                                    line, col)
-            if length < 0:
-                raise RuntimeFault(f"negative array length {length}",
-                                   line, col)
+            if not 0 <= length <= sys.maxsize:
+                raise RuntimeFault(bad_length_message(length), line, col)
             if dim == last_dim:
                 return ArrayValue(length, fill)
             array = ArrayValue(length, None)

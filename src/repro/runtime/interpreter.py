@@ -15,21 +15,20 @@ measured step execution times).
 
 Two execution engines share this contract:
 
-* ``"tree"`` — the direct AST-walking interpreter in this module, one
-  ``isinstance`` dispatch chain per node visit; and
-* ``"compiled"`` (the default) — the closure-compilation engine in
+* ``"compiled"`` — the closure-compilation engine in
   :mod:`repro.runtime.compiler`, which lowers each AST node to a Python
   closure once and replays the *exact* same observer event stream and op
-  counts several times faster.
-
-Select an engine per run with ``Interpreter(..., engine=...)``, process
-wide with :func:`set_default_engine`, or via the ``REPRO_ENGINE``
-environment variable.
+  counts several times faster.  Every production run uses it.
+* ``"tree"`` — the direct AST-walking interpreter in this module, one
+  ``isinstance`` dispatch chain per node visit.  It stays as the
+  reference the compiled engine is tested against, and as the base of
+  :class:`~repro.runtime.schedules.DeferredScheduleInterpreter`, which
+  reorders tasks by overriding its statement handler.  Only the
+  ``Interpreter(..., engine="tree")`` constructor argument selects it.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from typing import Any, List, Optional, Sequence
 
@@ -39,29 +38,8 @@ from .builtins import BUILTINS, BuiltinContext
 from .env import Environment
 from .values import ArrayValue, StructValue, default_fill, to_display
 
-#: Engines selectable for :class:`Interpreter` / :func:`run_program`.
-ENGINES = ("tree", "compiled")
-
-_default_engine = "compiled"
-
-
-def set_default_engine(name: str) -> None:
-    """Set the engine used when ``Interpreter`` is built without one."""
-    if name not in ENGINES:
-        raise ValueError(f"unknown engine {name!r}; choose from {ENGINES}")
-    global _default_engine
-    _default_engine = name
-
-
-def get_default_engine() -> str:
-    """The process-wide default engine (``REPRO_ENGINE`` overrides)."""
-    env = os.environ.get("REPRO_ENGINE")
-    if env:
-        if env not in ENGINES:
-            raise ValueError(
-                f"REPRO_ENGINE={env!r} is not one of {ENGINES}")
-        return env
-    return _default_engine
+#: The engines an :class:`Interpreter` can run on (module docstring).
+_ENGINES = ("compiled", "tree")
 
 
 class ExecutionObserver:
@@ -215,64 +193,92 @@ def unary_op(op: str, value: Any, node: ast.Node) -> Any:
                        node.line, node.col)
 
 
+#: What Python raises for an operator or builtin applied to values it
+#: cannot handle: ``2.5 * x`` for an int ``x`` past the float range,
+#: ``1 << x`` for a huge ``x``, ``1 << -1``, ``sqrt(-1.0)``,
+#: ``to_int("abc")``.  Both engines turn them into runtime errors.
+ARITHMETIC_ERRORS = (OverflowError, ValueError)
+
+
+def arithmetic_fault(op: str, error: Exception, node: ast.Node) -> RuntimeFault:
+    """The runtime error for one of :data:`ARITHMETIC_ERRORS`."""
+    return RuntimeFault(f"{op!r} failed: {error}", node.line, node.col)
+
+
 def binary_op(op: str, left: Any, right: Any, node: ast.Node) -> Any:
     if op == "+" and (isinstance(left, str) or isinstance(right, str)):
-        return to_display(left) + to_display(right)
+        try:
+            return (to_display(left, exact=True)
+                    + to_display(right, exact=True))
+        except RuntimeFault as fault:
+            raise RuntimeFault(fault.bare_message,
+                               node.line, node.col) from None
     if op in ("==", "!="):
         same = values_equal(left, right)
         return same if op == "==" else not same
-    if op in ("&", "|", "^", "<<", ">>"):
-        if not both_ints(left, right):
-            raise RuntimeFault(f"{op!r} needs integer operands",
-                               node.line, node.col)
-        if op == "&":
-            return left & right
-        if op == "|":
-            return left | right
-        if op == "^":
-            return left ^ right
-        if op == "<<":
-            return left << right
-        return left >> right
-    if not both_numbers(left, right):
-        raise RuntimeFault(
-            f"operator {op!r} needs numeric operands, got "
-            f"{to_display(left)} and {to_display(right)}",
-            node.line, node.col)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if isinstance(left, int) and isinstance(right, int):
-            if right == 0:
-                raise RuntimeFault("integer division by zero",
+    try:
+        if op in ("&", "|", "^", "<<", ">>"):
+            if not both_ints(left, right):
+                raise RuntimeFault(f"{op!r} needs integer operands",
                                    node.line, node.col)
-            # Java-style truncation toward zero.
-            quotient = abs(left) // abs(right)
-            return quotient if (left >= 0) == (right >= 0) else -quotient
-        if right == 0:
-            raise RuntimeFault("division by zero", node.line, node.col)
-        return left / right
-    if op == "%":
-        if right == 0:
-            raise RuntimeFault("modulo by zero", node.line, node.col)
-        if isinstance(left, int) and isinstance(right, int):
-            # Java-style remainder: sign follows the dividend.
-            remainder = abs(left) % abs(right)
-            return remainder if left >= 0 else -remainder
-        return left - right * int(left / right)
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
+            if op == "&":
+                return left & right
+            if op == "|":
+                return left | right
+            if op == "^":
+                return left ^ right
+            if op == "<<":
+                return left << right
+            return left >> right
+        if not both_numbers(left, right):
+            raise RuntimeFault(
+                f"operator {op!r} needs numeric operands, got "
+                f"{to_display(left)} and {to_display(right)}",
+                node.line, node.col)
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        if op == "*":
+            return left * right
+        if op == "/":
+            if isinstance(left, int) and isinstance(right, int):
+                if right == 0:
+                    raise RuntimeFault("integer division by zero",
+                                       node.line, node.col)
+                # Java-style truncation toward zero.
+                quotient = abs(left) // abs(right)
+                return quotient if (left >= 0) == (right >= 0) else -quotient
+            if right == 0:
+                raise RuntimeFault("division by zero", node.line, node.col)
+            return left / right
+        if op == "%":
+            if right == 0:
+                raise RuntimeFault("modulo by zero", node.line, node.col)
+            if isinstance(left, int) and isinstance(right, int):
+                # Java-style remainder: sign follows the dividend.
+                remainder = abs(left) % abs(right)
+                return remainder if left >= 0 else -remainder
+            return left - right * int(left / right)
+        if op == "<":
+            return left < right
+        if op == "<=":
+            return left <= right
+        if op == ">":
+            return left > right
+        if op == ">=":
+            return left >= right
+    except ARITHMETIC_ERRORS as error:
+        raise arithmetic_fault(op, error, node) from None
     raise RuntimeFault(f"unknown operator {op!r}", node.line, node.col)
+
+
+def bad_length_message(length: int) -> str:
+    """Why ``new T[length]`` cannot allocate: negative, or too large for
+    a Python list (past ``sys.maxsize``)."""
+    if length < 0:
+        return f"negative array length {to_display(length)}"
+    return f"array length {to_display(length)} is too large"
 
 
 class Interpreter:
@@ -285,7 +291,7 @@ class Interpreter:
                  observer: Optional[ExecutionObserver] = None,
                  seed: int = 20140609,
                  max_ops: int = 200_000_000,
-                 engine: Optional[str] = None) -> None:
+                 engine: str = "compiled") -> None:
         self.program = program
         self.observer = observer if observer is not None else ExecutionObserver()
         # Observer hooks resolved once (the compiled engine does the same
@@ -308,11 +314,9 @@ class Interpreter:
         # overshot by more than one op.
         self._next_check = min(_CHECK_INTERVAL, max_ops + 1)
         self.globals_env = Environment()
-        if engine is None:
-            engine = get_default_engine()
-        elif engine not in ENGINES:
+        if engine not in _ENGINES:
             raise ValueError(
-                f"unknown engine {engine!r}; choose from {ENGINES}")
+                f"unknown engine {engine!r}; choose from {_ENGINES}")
         self.engine = engine
 
     # ------------------------------------------------------------------
@@ -658,8 +662,8 @@ class Interpreter:
         if isinstance(length, bool) or not isinstance(length, int):
             raise RuntimeFault("array length must be an integer",
                                expr.line, expr.col)
-        if length < 0:
-            raise RuntimeFault(f"negative array length {length}",
+        if not 0 <= length <= sys.maxsize:
+            raise RuntimeFault(bad_length_message(length),
                                expr.line, expr.col)
         if dim == len(expr.dims) - 1:
             return ArrayValue(length, default_fill(expr.elem_type))
@@ -696,6 +700,8 @@ class Interpreter:
             if fault.line is None:
                 raise RuntimeFault(fault.bare_message, expr.line, expr.col)
             raise
+        except ARITHMETIC_ERRORS as error:
+            raise arithmetic_fault(expr.name, error, expr) from None
 
     def _eval_index_parts(self, expr: ast.Index, env: Environment):
         base = self._eval(expr.base, env)
@@ -708,7 +714,8 @@ class Interpreter:
                                expr.line, expr.col)
         if not (0 <= index < len(base)):
             raise RuntimeFault(
-                f"array index {index} out of bounds for length {len(base)}",
+                f"array index {to_display(index)} out of bounds for length "
+                f"{len(base)}",
                 expr.line, expr.col)
         return base, index
 
@@ -736,7 +743,6 @@ class Interpreter:
 def run_program(program: ast.Program, args: Sequence[Any] = (),
                 observer: Optional[ExecutionObserver] = None,
                 seed: int = 20140609,
-                max_ops: int = 200_000_000,
-                engine: Optional[str] = None) -> ExecutionResult:
+                max_ops: int = 200_000_000) -> ExecutionResult:
     """Convenience wrapper: build an interpreter and run ``main(*args)``."""
-    return Interpreter(program, observer, seed, max_ops, engine).run(args)
+    return Interpreter(program, observer, seed, max_ops).run(args)

@@ -57,7 +57,7 @@ class DeferredScheduleInterpreter(Interpreter):
                  seed: int = 20140609,
                  max_ops: int = 200_000_000) -> None:
         # This subclass reorders execution by overriding _exec_stmt, so it
-        # must run on the tree engine regardless of the process default.
+        # must run on the tree engine.
         super().__init__(program, observer=None, seed=seed, max_ops=max_ops,
                          engine="tree")
         self._schedule_rng = DeterministicRng(schedule_seed ^ 0xD1CE)

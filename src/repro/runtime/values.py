@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Tuple
 
+from ..errors import RuntimeFault
+
 Address = Tuple[Any, ...]
 
 _ids = itertools.count(1)
@@ -106,8 +108,14 @@ def default_fill(elem_type: str) -> Any:
     return DEFAULT_FILL.get(elem_type, None)
 
 
-def to_display(value: Any) -> str:
-    """Render a runtime value the way ``print`` shows it."""
+def to_display(value: Any, exact: bool = False) -> str:
+    """Render a runtime value the way ``print`` shows it.
+
+    An int with more digits than Python converts to text
+    (``sys.get_int_max_str_digits()``) renders as its bit length, which
+    suits error messages; program output passes ``exact=True`` and gets
+    a :class:`~repro.errors.RuntimeFault` instead.
+    """
     if value is None:
         return "null"
     if value is True:
@@ -117,9 +125,17 @@ def to_display(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
     if isinstance(value, ArrayValue):
-        return "[" + ", ".join(to_display(v) for v in value.items) + "]"
+        return "[" + ", ".join(to_display(v, exact)
+                               for v in value.items) + "]"
     if isinstance(value, StructValue):
-        inner = ", ".join(f"{k}={to_display(v)}"
+        inner = ", ".join(f"{k}={to_display(v, exact)}"
                           for k, v in value.fields.items())
         return f"{value.struct_name}({inner})"
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # an int past the int-to-text digit limit
+        if exact:
+            raise RuntimeFault(
+                f"integer too large to convert to text "
+                f"({value.bit_length()} bits)") from None
+        return f"<{value.bit_length()}-bit integer>"

@@ -6,7 +6,7 @@ of mistakes, and many submissions differ only in whitespace, comments or
 formatting.  The cache exploits that by keying each job on the SHA-256 of
 its *canonical* source (parse → pretty-print, which normalizes layout and
 drops comments) combined with the job's semantic knobs (kind, detector
-algorithm, engine, entry arguments, ...; see
+algorithm, entry arguments, ...; see
 :meth:`repro.service.jobs.Job.semantic_fields`).  Two jobs share an entry
 exactly when the repair pipeline is guaranteed to treat them identically:
 
@@ -91,8 +91,9 @@ class ResultCache:
 
     #: bumped whenever the key derivation or the result payload schema
     #: changes incompatibly; part of every key, so stale stores are
-    #: simply never hit rather than misread.
-    KEY_SCHEMA = 1
+    #: simply never hit rather than misread.  2: the job fields no
+    #: longer include ``engine``.
+    KEY_SCHEMA = 2
 
     def __init__(self, path: Optional[str] = None,
                  max_mb: Optional[float] = None,

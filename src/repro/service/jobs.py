@@ -76,15 +76,18 @@ class Job:
     """
 
     __slots__ = ("kind", "source", "source_name", "args", "algorithm",
-                 "engine", "strip_finishes", "max_iterations", "replay",
-                 "incremental", "processors", "sequential", "max_ops",
-                 "timeout_s", "trace")
+                 "strip_finishes", "max_iterations", "processors",
+                 "sequential", "max_ops", "timeout_s", "trace")
+
+    #: Fields that earlier releases wrote (the execution engine and the
+    #: replay / incremental re-detection switches).  Every path now runs
+    #: one configuration, so :meth:`from_dict` drops them: queue rows and
+    #: request bodies written before still load.
+    RETIRED_FIELDS = frozenset(("engine", "replay", "incremental"))
 
     def __init__(self, kind: str, source: str, source_name: str = "<job>",
                  args: Sequence[Any] = (), algorithm: str = "mrw",
-                 engine: Optional[str] = None, strip_finishes: bool = False,
-                 max_iterations: int = 20, replay: Optional[bool] = None,
-                 incremental: Optional[bool] = None,
+                 strip_finishes: bool = False, max_iterations: int = 20,
                  processors: int = 12, sequential: bool = False,
                  max_ops: int = 200_000_000,
                  timeout_s: Optional[float] = None,
@@ -97,16 +100,8 @@ class Job:
         self.source_name = source_name
         self.args = tuple(args)
         self.algorithm = algorithm
-        self.engine = engine
         self.strip_finishes = strip_finishes
         self.max_iterations = max_iterations
-        #: trace-replay re-detections (repair only); ``None`` = process
-        #: default (:func:`repro.repair.engine.replay_enabled_default`).
-        self.replay = replay
-        #: incremental re-detection on top of replay (repair only);
-        #: ``None`` = process default
-        #: (:func:`repro.repair.engine.incremental_enabled_default`).
-        self.incremental = incremental
         self.processors = processors
         self.sequential = sequential
         self.max_ops = max_ops
@@ -128,17 +123,12 @@ class Job:
     def semantic_fields(self) -> Dict[str, Any]:
         """The fields that determine the job's *outcome* (not its
         timing): the cache key is derived from these plus the canonical
-        source.  ``engine`` is included defensively — both engines are
-        tested to produce identical results, but a cache must never be
-        in a position to mask a divergence.  ``replay`` and
-        ``timeout_s`` are excluded: they change how fast an answer
-        arrives, not the answer.  So is ``incremental``: incremental
-        and full re-detection are tested bit-identical."""
+        source.  ``timeout_s`` is excluded: it changes whether an answer
+        arrives, not the answer."""
         fields: Dict[str, Any] = {
             "kind": self.kind,
             "args": list(self.args),
             "algorithm": self.algorithm,
-            "engine": self.engine or "",
             "strip_finishes": self.strip_finishes,
             "max_ops": self.max_ops,
         }
@@ -156,11 +146,8 @@ class Job:
             "source_name": self.source_name,
             "args": list(self.args),
             "algorithm": self.algorithm,
-            "engine": self.engine,
             "strip_finishes": self.strip_finishes,
             "max_iterations": self.max_iterations,
-            "replay": self.replay,
-            "incremental": self.incremental,
             "processors": self.processors,
             "sequential": self.sequential,
             "max_ops": self.max_ops,
@@ -172,8 +159,8 @@ class Job:
     def from_dict(cls, data: Dict[str, Any]) -> "Job":
         if "kind" not in data or "source" not in data:
             raise ValueError("a job needs at least 'kind' and 'source'")
-        known = {name for name in cls.__slots__}
-        unknown = set(data) - known
+        known = set(cls.__slots__)
+        unknown = set(data) - known - cls.RETIRED_FIELDS
         if unknown:
             raise ValueError(
                 f"unknown job field(s): {', '.join(sorted(unknown))}")
@@ -352,11 +339,9 @@ def run_job(job: Job) -> JobResult:
     escapes this function.
     """
     from .. import telemetry
-    from ..runtime import get_default_engine, set_default_engine
     from ..runtime.values import reset_ids
 
     start = time.perf_counter()
-    previous_engine = get_default_engine()
     # Heap addresses (array/struct/cell ids) appear verbatim in race
     # reports; restart allocation so a warm worker process reports the
     # same addresses as a fresh single-shot invocation.
@@ -377,7 +362,6 @@ def run_job(job: Job) -> JobResult:
         outcome = JobResult.failure(job, error, time.perf_counter() - start)
     finally:
         tel.uninstall()
-        set_default_engine(previous_engine)
     outcome.timings = {name: round(total, 6)
                        for name, total in tel.phase_totals().items()}
     outcome.counters = tel.counters.as_dict()
@@ -397,10 +381,8 @@ def run_job(job: Job) -> JobResult:
 def _execute(job: Job, start: float) -> JobResult:
     """The kind dispatch of :func:`run_job` (its ``job`` span body)."""
     from ..lang import parse, serial_elision, strip_finishes, validate
-    from ..runtime import BUILTIN_NAMES, set_default_engine
+    from ..runtime import BUILTIN_NAMES
 
-    if job.engine:
-        set_default_engine(job.engine)
     program = parse(job.source, source_name=job.source_name)
     validate(program, BUILTIN_NAMES)
     if job.strip_finishes:
@@ -418,9 +400,7 @@ def _execute(job: Job, start: float) -> JobResult:
         repair = repair_program(program, job.args,
                                 algorithm=job.algorithm,
                                 max_iterations=job.max_iterations,
-                                max_ops=job.max_ops,
-                                reuse_trace=job.replay,
-                                incremental=job.incremental)
+                                max_ops=job.max_ops)
         payload = repair.to_payload()
     else:  # measure
         from ..graph import measure_program

@@ -41,6 +41,7 @@ import multiprocessing
 import os
 import queue
 import signal
+import socket
 import threading
 import time
 from collections import deque
@@ -70,7 +71,8 @@ def _worker_main(conn_, inherited=()) -> None:
     group) reaches only the parent, which decides whether to drain or
     abort; the parent stops workers by sending ``None`` or closing the
     pipe.  ``inherited`` holds the parent-side pipe ends a forked child
-    got copies of (its own and earlier workers'); they are closed first,
+    got copies of (its own and earlier workers', and the dispatcher's
+    wakeup pair); they are closed first,
     so the parent is the only holder and its death — even by SIGKILL —
     reaches ``recv()`` as EOF.
     """
@@ -294,9 +296,6 @@ class WorkerPool:
         self._counter = 0
         self.stats = PoolStats()
         self._stop = threading.Event()
-        #: set by ``submit`` and ``shutdown`` so an idle dispatcher acts
-        #: at once instead of at its next poll.
-        self._wakeup = threading.Event()
         self._started = False
         self._dispatcher: Optional[threading.Thread] = None
 
@@ -306,6 +305,12 @@ class WorkerPool:
         if self._started:
             return self
         self._started = True
+        #: a socket pair ``submit`` and ``shutdown`` write a byte to; the
+        #: dispatcher waits on it together with the busy workers' pipes,
+        #: so a new job is dispatched at once, not at the next poll.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
         for _ in range(self.workers):
             # One at a time: each fork must see the earlier handles.
             self._handles.append(self._spawn())
@@ -328,7 +333,7 @@ class WorkerPool:
                         break
                 time.sleep(self.poll_interval_s)
         self._stop.set()
-        self._wakeup.set()
+        self._wake()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=5.0)
         for handle in self._handles:
@@ -343,6 +348,8 @@ class WorkerPool:
                 handle.process.join(timeout=1.0)
             handle.conn.close()
         self._handles = []
+        self._wake_r.close()
+        self._wake_w.close()
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
@@ -383,7 +390,7 @@ class WorkerPool:
                 self._key_owner[key] = job_id
                 self._owner_key[job_id] = key
             self._pending.append(job_id)
-        self._wakeup.set()
+        self._wake()
         return job_id
 
     def cancel_pending(self) -> List[str]:
@@ -494,7 +501,8 @@ class WorkerPool:
         if self._ctx.get_start_method() == "fork":
             # A forked child holds copies of every open parent-side end;
             # other start methods pass the child only its own end.
-            inherited = [h.conn for h in self._handles] + [parent_conn]
+            inherited = [h.conn for h in self._handles] + [
+                parent_conn, self._wake_r, self._wake_w]
         process = self._ctx.Process(target=_worker_main,
                                     args=(child_conn, inherited),
                                     name="repro-pool-worker", daemon=True)
@@ -528,21 +536,32 @@ class WorkerPool:
                 self._running.add(job_id)
                 self._trace_dispatch(job_id, job, handle)
 
-    def _drain_results(self) -> None:
-        conns = [h.conn for h in self._handles if not h.idle]
-        if not conns:
-            # Nothing to drain: sleep until a submission (or shutdown)
-            # or, at the latest, the next policing round.  ``submit``
-            # queues its job before it sets the event, so a set that
-            # this clear swallows is seen by the dispatch that follows.
-            self._wakeup.wait(self.poll_interval_s)
-            self._wakeup.clear()
-            return
+    def _wake(self) -> None:
         try:
-            ready = connection.wait(conns, timeout=self.poll_interval_s)
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # full of unread wakeups, or closed by shutdown
+
+    def _drain_results(self) -> None:
+        """Wait for a result, a submission or shutdown, or at the latest
+        the next policing round; then land every result that arrived.
+        ``submit`` queues its job before it writes the wakeup byte, so
+        a byte this drain swallows is seen by the dispatch that follows.
+        """
+        conns = [h.conn for h in self._handles if not h.idle]
+        try:
+            ready = connection.wait(conns + [self._wake_r],
+                                    timeout=self.poll_interval_s)
         except OSError:
             ready = []
         for conn_ in ready:
+            if conn_ is self._wake_r:
+                try:
+                    while self._wake_r.recv(4096):
+                        pass
+                except OSError:
+                    pass  # drained
+                continue
             handle = next((h for h in self._handles if h.conn is conn_),
                           None)
             if handle is None:  # pragma: no cover - replaced mid-drain

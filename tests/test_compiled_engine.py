@@ -15,14 +15,19 @@ from repro.bench import all_benchmarks
 from repro.bench.students import GRADING_INPUTS, synthesize_population
 from repro.errors import RuntimeFault, StepLimitExceeded
 from repro.lang import strip_finishes
-from repro.races import detect_races
-from repro.runtime import ExecutionObserver, run_program
-from repro.runtime.interpreter import (
-    ENGINES,
-    get_default_engine,
-    set_default_engine,
-)
+from repro.races import run_arraycore
+from repro.runtime import ExecutionObserver, Interpreter
+from repro.runtime.recorder import TraceBuffer
 from tests.conftest import build
+
+#: Production runs use the compiled engine; the tree walker is reached
+#: only through the ``Interpreter(engine=...)`` argument.
+ENGINES = ("tree", "compiled")
+
+
+def run_on(engine, program, args=(), observer=None, max_ops=200_000_000):
+    return Interpreter(program, observer, max_ops=max_ops,
+                       engine=engine).run(args)
 
 
 class RecordingObserver(ExecutionObserver):
@@ -81,8 +86,7 @@ def run_both(program_factory, args):
     results = {}
     for engine in ENGINES:
         observer = RecordingObserver()
-        result = run_program(program_factory(), args, observer=observer,
-                             engine=engine)
+        result = run_on(engine, program_factory(), args, observer)
         results[engine] = (result, observer.events)
     return results["tree"], results["compiled"]
 
@@ -100,7 +104,7 @@ def assert_equivalent(program_factory, args, label):
     assert tree_events == comp_events, label
 
 
-def race_signature(detection):
+def race_signature(report):
     """Race report as engine-independent data, in report order: step
     indices come from the S-DPST (identical across engines when the event
     streams match); array/struct ids are runtime object identities, so
@@ -108,7 +112,7 @@ def race_signature(detection):
     stable coordinates) are kept."""
     ids = {}
     sig = []
-    for race in detection.report:
+    for race in report:
         addr = race.addr
         owner = ids.setdefault((addr[0], addr[1]), len(ids))
         norm = (addr[0], owner) + tuple(addr[2:])
@@ -132,14 +136,17 @@ class TestBenchCorpus:
                              ids=lambda spec: spec.name)
     @pytest.mark.parametrize("algorithm", ["srw", "mrw"])
     def test_race_reports_identical(self, spec, algorithm):
+        # The production detection pipeline (record into a trace buffer,
+        # then ESP-bags on the array core), run on each engine.
         reports = {}
         for engine in ENGINES:
-            detection = detect_races(strip_finishes(spec.parse()),
-                                     spec.test_args, algorithm=algorithm,
-                                     engine=engine)
-            reports[engine] = (race_signature(detection),
-                               detection.execution.ops,
-                               detection.detector.monitored_accesses)
+            buffer = TraceBuffer()
+            execution = run_on(engine, strip_finishes(spec.parse()),
+                               spec.test_args, buffer)
+            run = run_arraycore(buffer.trace(), algorithm)
+            reports[engine] = (race_signature(run.report()),
+                               execution.ops,
+                               run.detector.monitored_accesses)
         assert reports["tree"] == reports["compiled"], \
             f"{spec.name} [{algorithm}]"
 
@@ -165,9 +172,34 @@ class TestErrorParity:
         errors = {}
         for engine in ENGINES:
             with pytest.raises(RuntimeFault) as excinfo:
-                run_program(build(self.FAULTY), (3,), engine=engine)
+                run_on(engine, build(self.FAULTY), (3,))
             errors[engine] = str(excinfo.value)
         assert errors["tree"] == errors["compiled"]
+
+    #: ``x`` = 10**8192: more digits than Python converts to text, and
+    #: past the float range.
+    HUGE = "var x = 10; for (var i = 0; i < 13; i = i + 1) { x = x * x; }"
+
+    @pytest.mark.parametrize("statement", [
+        "print(x);",
+        'var s = "a" + x;',
+        "var a = new int[3]; var y = a[x];",
+        "var a = new int[x];",
+        "var y = 2.5 * x;",
+        "var y = 2.5; y *= x;",
+        "var y = x / 2.5;",
+        "var y = sqrt(x);",
+        "var y = 1 << -1;",
+    ])
+    def test_unrepresentable_values_fault_alike(self, statement):
+        source = f"def main() {{\n    {self.HUGE}\n    {statement}\n}}\n"
+        errors = {}
+        for engine in ENGINES:
+            with pytest.raises(RuntimeFault) as excinfo:
+                run_on(engine, build(source))
+            errors[engine] = (str(excinfo.value), excinfo.value.line)
+        assert errors["tree"] == errors["compiled"]
+        assert errors["tree"][1] == 3
 
     def test_step_limit_parity(self):
         source = """
@@ -179,7 +211,7 @@ class TestErrorParity:
         ops = {}
         for engine in ENGINES:
             with pytest.raises(StepLimitExceeded):
-                run_program(build(source), (), max_ops=5000, engine=engine)
+                run_on(engine, build(source), (), max_ops=5000)
             ops[engine] = True
         assert ops["tree"] and ops["compiled"]
 
@@ -198,7 +230,7 @@ class TestLimits:
     def test_recursion_limit_restored_after_run(self, engine):
         import sys
         before = sys.getrecursionlimit()
-        run_program(build("def main() { print(1); }"), (), engine=engine)
+        run_on(engine, build("def main() { print(1); }"))
         assert sys.getrecursionlimit() == before
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -206,15 +238,13 @@ class TestLimits:
         import sys
         before = sys.getrecursionlimit()
         with pytest.raises(RuntimeFault):
-            run_program(build("def main() { print(1 / 0); }"), (),
-                        engine=engine)
+            run_on(engine, build("def main() { print(1 / 0); }"))
         assert sys.getrecursionlimit() == before
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_small_step_limit_stops_near_limit(self, engine):
         # max_ops far below the old 4096-op check interval: the run must
         # stop at (not thousands of ops past) the cap.
-        from repro.runtime import Interpreter
         interp = Interpreter(build(self.LOOP), max_ops=100, engine=engine)
         with pytest.raises(StepLimitExceeded):
             interp.run(())
@@ -222,7 +252,6 @@ class TestLimits:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_limit_not_exceeded_by_interval(self, engine):
-        from repro.runtime import Interpreter
         interp = Interpreter(build(self.LOOP), max_ops=5000, engine=engine)
         with pytest.raises(StepLimitExceeded):
             interp.run(())
@@ -231,18 +260,8 @@ class TestLimits:
 
 class TestEngineSelection:
     def test_default_engine_is_compiled(self):
-        assert get_default_engine() == "compiled"
-
-    def test_set_default_engine_round_trip(self):
-        previous = get_default_engine()
-        try:
-            set_default_engine("tree")
-            assert get_default_engine() == "tree"
-        finally:
-            set_default_engine(previous)
+        assert Interpreter(build("def main() {}")).engine == "compiled"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            set_default_engine("jit")
-        with pytest.raises(ValueError):
-            run_program(build("def main() {}"), (), engine="jit")
+            Interpreter(build("def main() {}"), engine="jit")

@@ -30,27 +30,34 @@ from repro.lang import parse, strip_finishes
 from repro.races import detect_races
 from repro.races.incremental import IncrementalMiss, incremental_replay
 from repro.races.replay import _injection_chains, replay_detection
-from repro.repair import repair_program
-from repro.repair.engine import RepairEngine, incremental_enabled_default
-from tests.test_replay import _placement_sig, dpst_sig, norm_report
+from repro.repair.engine import RepairEngine
+from tests.test_replay import (
+    _placement_sig,
+    dpst_sig,
+    norm_report,
+    repair_with,
+)
 
 ALGORITHMS = ("mrw", "srw")
 
 
-def _load_stress_programs():
-    """The multi-iteration repair workloads from scripts/bench.py —
-    imported from the script itself so the differential matrix always
-    covers exactly what the bench measures."""
+def _load_stress_sources():
+    """The multi-iteration repair programs of the repair benchmark —
+    read from ``perfbench/inputs.py`` itself so the differential matrix
+    always covers exactly what the benchmark measures."""
     path = os.path.join(os.path.dirname(__file__), os.pardir,
-                        "scripts", "bench.py")
-    spec = importlib.util.spec_from_file_location("_bench_script", path)
+                        "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_inputs", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.STRESS_PROGRAMS
+    return module.STRESS_SOURCES
 
 
-STRESS_PROGRAMS = _load_stress_programs()
-STRESS_PARAMS = [pytest.param(name, id=name) for name in STRESS_PROGRAMS]
+STRESS_SOURCES = _load_stress_sources()
+STRESS_PARAMS = [pytest.param(name, id=name) for name in STRESS_SOURCES]
+#: Small enough for the full differential matrix; each program still
+#: takes two (stress-nested) or three (stress-chain) repair iterations.
+STRESS_ARGS = (40,)
 
 STUDENT_SOURCES = [
     pytest.param(source, id=f"student-{i}")
@@ -59,8 +66,7 @@ STUDENT_SOURCES = [
 ]
 
 def _stress_workload(name):
-    source, inputs = STRESS_PROGRAMS[name]
-    return parse(source, source_name=name), inputs["test"]
+    return parse(STRESS_SOURCES[name], source_name=name), STRESS_ARGS
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +81,7 @@ def test_incremental_matches_full_replay_and_reexecution(name, algorithm):
                             record_trace=True, incremental=True)
     baseline = recorded.inc_state
     assert baseline is not None
-    repaired = repair_program(program, args, algorithm=algorithm,
+    repaired = repair_with(program, args, algorithm=algorithm,
                               reuse_trace=False).repaired
     for target in (program, repaired):
         full = replay_detection(recorded.trace, target, algorithm=algorithm)
@@ -100,7 +106,7 @@ def test_incremental_state_chains_across_iterations(name, algorithm):
     recorded = detect_races(program, args, algorithm=algorithm,
                             record_trace=True, incremental=True)
     state = recorded.inc_state
-    result = repair_program(program, args, algorithm=algorithm,
+    result = repair_with(program, args, algorithm=algorithm,
                             reuse_trace=False)
     assert len(result.iterations) >= 2
     repaired = result.repaired
@@ -118,11 +124,11 @@ def test_incremental_state_chains_across_iterations(name, algorithm):
 # ----------------------------------------------------------------------
 
 def _assert_incremental_repair_equivalent(make_program, args, algorithm):
-    inc = repair_program(make_program(), args, algorithm=algorithm,
+    inc = repair_with(make_program(), args, algorithm=algorithm,
                          reuse_trace=True, incremental=True)
-    full = repair_program(make_program(), args, algorithm=algorithm,
+    full = repair_with(make_program(), args, algorithm=algorithm,
                           reuse_trace=True, incremental=False)
-    ree = repair_program(make_program(), args, algorithm=algorithm,
+    ree = repair_with(make_program(), args, algorithm=algorithm,
                          reuse_trace=False)
     for other in (full, ree):
         assert inc.converged == other.converged
@@ -138,9 +144,9 @@ def _assert_incremental_repair_equivalent(make_program, args, algorithm):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("name", STRESS_PARAMS)
 def test_repair_differential_stress(name, algorithm):
-    source, inputs = STRESS_PROGRAMS[name]
     _assert_incremental_repair_equivalent(
-        lambda: parse(source, source_name=name), inputs["test"], algorithm)
+        lambda: parse(STRESS_SOURCES[name], source_name=name), STRESS_ARGS,
+        algorithm)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -153,8 +159,8 @@ def test_repair_differential_students(source, algorithm):
         # Unrepairable submissions must be unrepairable in every mode.
         for kwargs in ({"incremental": False}, {"reuse_trace": False}):
             with pytest.raises(RepairError):
-                repair_program(parse(source), (40,), algorithm=algorithm,
-                               **kwargs)
+                repair_with(parse(source), (40,), algorithm=algorithm,
+                            **kwargs)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -170,7 +176,7 @@ def test_repair_differential_assignment(algorithm):
 def test_mrw_repair_hits_fast_path():
     program, args = _stress_workload("stress-nested")
     with telemetry.session("inc") as tel:
-        result = repair_program(program, args, algorithm="mrw",
+        result = repair_with(program, args, algorithm="mrw",
                                 reuse_trace=True, incremental=True)
     assert result.converged and len(result.iterations) >= 2
     counters = tel.counters.as_dict()
@@ -190,9 +196,9 @@ def test_srw_repair_is_never_incremental():
     counters, identical repaired source."""
     program, args = _stress_workload("stress-nested")
     with telemetry.session("inc") as tel:
-        inc = repair_program(program, args, algorithm="srw",
+        inc = repair_with(program, args, algorithm="srw",
                              reuse_trace=True, incremental=True)
-    ree = repair_program(_stress_workload("stress-nested")[0], args,
+    ree = repair_with(_stress_workload("stress-nested")[0], args,
                          algorithm="srw", reuse_trace=False)
     assert inc.repaired_source == ree.repaired_source
     assert len(inc.iterations) >= 2
@@ -241,7 +247,7 @@ def test_srw_without_usable_checkpoint_falls_back():
     misses and runs a full replay — with identical results."""
     program, args = _stress_workload("stress-nested")
     trace, state = _baseline_for(program, args, algorithm="srw")
-    repaired = repair_program(program, args, algorithm="srw",
+    repaired = repair_with(program, args, algorithm="srw",
                               reuse_trace=False).repaired
     with telemetry.session("inc") as tel:
         inc = replay_detection(trace, repaired, algorithm="srw",
@@ -260,7 +266,7 @@ def test_shrinking_chains_fall_back_to_full_replay():
     and the full replay produces the exact full-scan result."""
     program, args = _stress_workload("stress-nested")
     trace, _ = _baseline_for(program, args)
-    repaired = repair_program(program, args, reuse_trace=False).repaired
+    repaired = repair_with(program, args, reuse_trace=False).repaired
     rep_state = replay_detection(trace, repaired, algorithm="mrw",
                                  incremental=True, baseline=None).inc_state
     assert rep_state is not None
@@ -285,9 +291,9 @@ def test_race_dense_trace_takes_cost_guard_fallback():
     slower than re-scanning; the cost guard falls back to full replay —
     with identical results."""
     with telemetry.session("inc") as tel:
-        inc = repair_program(parse(DENSE_SOURCE), (40,), algorithm="mrw",
+        inc = repair_with(parse(DENSE_SOURCE), (40,), algorithm="mrw",
                              reuse_trace=True, incremental=True)
-    full = repair_program(parse(DENSE_SOURCE), (40,), algorithm="mrw",
+    full = repair_with(parse(DENSE_SOURCE), (40,), algorithm="mrw",
                           reuse_trace=True, incremental=False)
     assert inc.repaired_source == full.repaired_source
     counters = tel.counters.as_dict()
@@ -301,18 +307,12 @@ def test_race_dense_trace_takes_cost_guard_fallback():
 # ----------------------------------------------------------------------
 
 def test_incremental_env_toggle(monkeypatch):
+    """Incremental re-detection is the one production mode for MRW: the
+    retired ``REPRO_INCREMENTAL`` variable no longer switches it off."""
     monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-    assert not incremental_enabled_default()
-    assert not RepairEngine().incremental
-    monkeypatch.setenv("REPRO_INCREMENTAL", "off")
-    assert not incremental_enabled_default()
-    monkeypatch.delenv("REPRO_INCREMENTAL")
-    assert incremental_enabled_default()
     assert RepairEngine().incremental
-    # Explicit argument beats the environment.
-    monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-    assert RepairEngine(incremental=True).incremental
-    monkeypatch.delenv("REPRO_INCREMENTAL")
+    # The seam the differential tests use to reach the full replay.
+    assert not RepairEngine(incremental=False).incremental
     # Incremental rides on replay and the MRW row transform: no replay
     # (or not MRW) — no incremental, regardless of the flag.
     assert not RepairEngine(reuse_trace=False, incremental=True).incremental
@@ -320,20 +320,20 @@ def test_incremental_env_toggle(monkeypatch):
     assert not RepairEngine(algorithm="vc", incremental=True).incremental
 
 
-def test_cli_incremental_flags(tmp_path, capsys):
+def test_cli_incremental_flags(tmp_path):
+    """The retired ``--incremental``/``--no-incremental`` flags are usage
+    errors on every verb that took them."""
     from repro.cli import main as cli_main
 
-    source, inputs = STRESS_PROGRAMS["stress-nested"]
     path = tmp_path / "prog.hj"
-    path.write_text(source)
-    arg = str(inputs["test"][0])
-    assert cli_main(["repair", str(path), "--arg", arg,
-                     "--incremental"]) == 0
-    first = capsys.readouterr()
-    assert cli_main(["repair", str(path), "--arg", arg,
-                     "--no-incremental"]) == 0
-    second = capsys.readouterr()
-    assert first.out == second.out  # byte-identical repaired source
+    path.write_text(STRESS_SOURCES["stress-nested"])
+    for verb in (["repair", str(path)], ["batch", str(path)],
+                 ["queue", "submit", str(path), "--queue",
+                  str(tmp_path / "q.db")]):
+        for flag in ("--incremental", "--no-incremental"):
+            with pytest.raises(SystemExit) as excinfo:
+                cli_main(verb + ["--arg", "40", flag])
+            assert excinfo.value.code == 2
 
 
 def test_cli_timings_report_fallbacks(tmp_path, capsys, monkeypatch):
@@ -343,9 +343,8 @@ def test_cli_timings_report_fallbacks(tmp_path, capsys, monkeypatch):
     import repro.races.replay as replay_mod
     from repro.errors import ReplayError
 
-    source, inputs = STRESS_PROGRAMS["stress-nested"]
     path = tmp_path / "prog.hj"
-    path.write_text(source)
+    path.write_text(STRESS_SOURCES["stress-nested"])
     calls = {"n": 0}
     real = replay_mod.replay_detection
 
@@ -356,8 +355,8 @@ def test_cli_timings_report_fallbacks(tmp_path, capsys, monkeypatch):
         return real(trace, program, algorithm=algorithm, **kwargs)
 
     monkeypatch.setattr(replay_mod, "replay_detection", flaky)
-    assert cli_main(["repair", str(path), "--arg",
-                     str(inputs["test"][0]), "--timings"]) == 0
+    assert cli_main(["repair", str(path), "--arg", "40",
+                     "--timings"]) == 0
     err = capsys.readouterr().err
     assert "1 replay fallback(s)" in err
     assert "synthetic incremental test failure" in err
@@ -366,7 +365,7 @@ def test_cli_timings_report_fallbacks(tmp_path, capsys, monkeypatch):
 
 def test_repair_payload_carries_fallbacks():
     program, args = _stress_workload("stress-nested")
-    result = repair_program(program, args, reuse_trace=True,
+    result = repair_with(program, args, reuse_trace=True,
                             incremental=True)
     payload = result.to_payload()
     assert payload["replay_fallback_count"] == 0
@@ -374,13 +373,15 @@ def test_repair_payload_carries_fallbacks():
 
 
 def test_job_carries_incremental_flag():
+    """A job no longer carries the incremental (or replay, or engine)
+    switch; one from an earlier release that does still loads, and
+    keys exactly like the same job without it."""
     from repro.service import Job
 
-    source, inputs = STRESS_PROGRAMS["stress-nested"]
-    job = Job("repair", source, args=inputs["test"], incremental=False)
+    job = Job("repair", STRESS_SOURCES["stress-nested"], args=STRESS_ARGS)
     data = job.to_dict()
-    assert data["incremental"] is False
-    assert Job.from_dict(data).incremental is False
-    # Speed knobs never enter the cache key.
-    assert "incremental" not in job.semantic_fields()
-    assert "replay" not in job.semantic_fields()
+    assert not {"incremental", "replay", "engine"} & set(data)
+    old = Job.from_dict(dict(data, incremental=False, replay=True,
+                             engine="tree"))
+    assert old.to_dict() == data
+    assert old.semantic_fields() == job.semantic_fields()

@@ -90,3 +90,46 @@ class TestSubpackageSurfaces:
             module = importlib.import_module(module_name)
             for name in module.__all__:
                 assert hasattr(module, name), (module_name, name)
+
+    def test_runtime_has_no_engine_selector(self):
+        import repro.runtime
+
+        # Production runs use the compiled engine; only the
+        # Interpreter(engine=...) argument reaches the tree walker.
+        for name in ("ENGINES", "set_default_engine", "get_default_engine"):
+            assert not hasattr(repro.runtime, name), name
+
+
+class TestConfigurationSurface:
+    def test_repro_environment_names(self):
+        """Every ``REPRO_*`` environment name the program and its scripts
+        mention: tracing, the pool start method and the server token.
+        None of them selects an execution path."""
+        import os
+        import re
+
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        names = set()
+        for top in ("src", "scripts"):
+            for dirpath, _dirs, files in os.walk(os.path.join(root, top)):
+                for name in files:
+                    if name.endswith(".py"):
+                        with open(os.path.join(dirpath, name),
+                                  encoding="utf-8") as handle:
+                            names.update(re.findall(r"\bREPRO_([A-Z_]+)",
+                                                    handle.read()))
+        assert names == {"NODE_ID", "TRACELOG", "TRACELOG_LEVEL",
+                         "POOL_START", "AUTH_TOKEN"}
+
+    @pytest.mark.parametrize("verb", [[], ["repair"], ["batch"],
+                                      ["queue", "submit"]])
+    def test_no_path_selector_options(self, verb, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(verb + ["--help"])
+        assert excinfo.value.code == 0
+        usage = capsys.readouterr().out
+        for option in ("--engine", "--replay", "--no-replay",
+                       "--incremental", "--no-incremental"):
+            assert option not in usage, (verb, option)

@@ -22,10 +22,16 @@ from repro.errors import RepairError, ReplayError
 from repro.lang import parse, strip_finishes
 from repro.races import detect_races
 from repro.races.replay import replay_detection
-from repro.repair import repair_program
-from repro.repair.engine import RepairEngine, replay_enabled_default
+from repro.repair import RepairEngine
 
 ALGORITHMS = ("mrw", "srw")
+
+
+def repair_with(program, args, algorithm="mrw", **paths):
+    """Repair through the ``RepairEngine`` seam: ``reuse_trace=False``
+    reaches the re-execution reference, ``incremental=False`` the full
+    replay reference; production always runs with both on."""
+    return RepairEngine(algorithm=algorithm, **paths).repair(program, args)
 
 STUDENT_SOURCES = [
     pytest.param(source, id=f"student-{i}")
@@ -116,7 +122,7 @@ def test_replay_after_repair_matches_reexecution(name, algorithm):
     args = spec.test_args
     recorded = detect_races(program, args, algorithm=algorithm,
                             record_trace=True)
-    repaired = repair_program(program, args, algorithm=algorithm,
+    repaired = repair_with(program, args, algorithm=algorithm,
                               reuse_trace=False).repaired
     replayed = replay_detection(recorded.trace, repaired, algorithm=algorithm)
     fresh = detect_races(repaired, args, algorithm=algorithm)
@@ -129,8 +135,8 @@ def test_replay_after_repair_matches_reexecution(name, algorithm):
 # ----------------------------------------------------------------------
 
 def _assert_repair_equivalent(program, args, algorithm):
-    on = repair_program(program, args, algorithm=algorithm, reuse_trace=True)
-    off = repair_program(program, args, algorithm=algorithm, reuse_trace=False)
+    on = repair_with(program, args, algorithm=algorithm, reuse_trace=True)
+    off = repair_with(program, args, algorithm=algorithm, reuse_trace=False)
     assert on.converged == off.converged
     assert len(on.iterations) == len(off.iterations)
     assert on.repaired_source == off.repaired_source
@@ -170,7 +176,7 @@ def test_repair_differential_students(source, algorithm):
         # A few racy submissions are not repairable by finish insertion;
         # both paths must agree on that too.
         with pytest.raises(RepairError):
-            repair_program(program, (40,), algorithm=algorithm,
+            repair_with(program, (40,), algorithm=algorithm,
                            reuse_trace=False)
 
 
@@ -203,9 +209,9 @@ def main(n) {
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_multi_iteration_repair_replays(algorithm):
-    on = repair_program(parse(NESTED_DEFERRAL), (50,), algorithm=algorithm,
+    on = repair_with(parse(NESTED_DEFERRAL), (50,), algorithm=algorithm,
                         reuse_trace=True)
-    off = repair_program(parse(NESTED_DEFERRAL), (50,), algorithm=algorithm,
+    off = repair_with(parse(NESTED_DEFERRAL), (50,), algorithm=algorithm,
                          reuse_trace=False)
     assert len(on.iterations) >= 2  # the inner edit is deferred one round
     assert on.converged
@@ -227,7 +233,7 @@ def test_access_trace_invariant_across_repair(name):
     program = strip_finishes(spec.parse())
     args = spec.test_args
     before = detect_races(program, args, record_trace=True).trace
-    repaired = repair_program(program, args, reuse_trace=False).repaired
+    repaired = repair_with(program, args, reuse_trace=False).repaired
     after = detect_races(repaired, args, record_trace=True).trace
     # Address ids are interned in first-occurrence order, so equal acodes
     # lists mean the same reads/writes of the same locations in the same
@@ -277,8 +283,8 @@ def test_engine_falls_back_to_reexecution(monkeypatch):
 
     monkeypatch.setattr(replay_mod, "replay_detection", flaky)
     program = parse(NESTED_DEFERRAL)
-    result = repair_program(program, (50,), reuse_trace=True)
-    reference = repair_program(program, (50,), reuse_trace=False)
+    result = repair_with(program, (50,), reuse_trace=True)
+    reference = repair_with(program, (50,), reuse_trace=False)
     assert calls["n"] >= 1
     assert result.converged
     assert result.repaired_source == reference.repaired_source
@@ -289,31 +295,29 @@ def test_engine_falls_back_to_reexecution(monkeypatch):
 
 
 def test_replay_env_toggle(monkeypatch):
+    """Replay is the one production mode: the retired ``REPRO_REPLAY``
+    variable no longer switches it off."""
     monkeypatch.setenv("REPRO_REPLAY", "0")
-    assert not replay_enabled_default()
-    assert not RepairEngine().reuse_trace
-    monkeypatch.setenv("REPRO_REPLAY", "off")
-    assert not replay_enabled_default()
-    monkeypatch.delenv("REPRO_REPLAY")
-    assert replay_enabled_default()
     assert RepairEngine().reuse_trace
-    # Explicit argument beats the environment.
-    monkeypatch.setenv("REPRO_REPLAY", "0")
-    assert RepairEngine(reuse_trace=True).reuse_trace
-    # The vector-clock detector cannot replay regardless.
-    monkeypatch.delenv("REPRO_REPLAY")
+    assert RepairEngine(algorithm="srw").reuse_trace
+    # The seam the differential tests use to reach re-execution.
+    assert not RepairEngine(reuse_trace=False).reuse_trace
+    # The vector-clock detector cannot replay.
     assert not RepairEngine(algorithm="vc").reuse_trace
 
 
 def test_cli_replay_flags(tmp_path, capsys):
+    """``repro repair`` replays every re-detection; the retired
+    ``--replay``/``--no-replay`` flags are usage errors."""
     from repro.cli import main as cli_main
 
     path = tmp_path / "prog.hj"
     path.write_text(NESTED_DEFERRAL)
-    assert cli_main(["repair", str(path), "--arg", "20", "--replay"]) == 0
-    replay_err = capsys.readouterr().err
-    assert "(replayed)" in replay_err
-    assert cli_main(["repair", str(path), "--arg", "20", "--no-replay"]) == 0
-    noreplay_err = capsys.readouterr().err
-    assert "(replayed)" not in noreplay_err
-    assert "(executed)" in noreplay_err
+    assert cli_main(["repair", str(path), "--arg", "20"]) == 0
+    err = capsys.readouterr().err
+    assert "(replayed)" in err
+    assert "(executed)" in err  # iteration 0 records the trace
+    for flag in ("--replay", "--no-replay"):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["repair", str(path), "--arg", "20", flag])
+        assert excinfo.value.code == 2

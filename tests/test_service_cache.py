@@ -94,7 +94,7 @@ class TestCacheKey:
     def test_key_depends_on_semantics_not_timing(self):
         cache = ResultCache()
         base = Job("repair", RACY, args=(1,))
-        assert cache.key_for(Job("repair", RACY, args=(1,), replay=False,
+        assert cache.key_for(Job("repair", RACY, args=(1,),
                                  timeout_s=3.0)) == cache.key_for(base)
         assert cache.key_for(Job("repair", RACY, args=(2,))) != \
             cache.key_for(base)

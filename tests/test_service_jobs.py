@@ -23,7 +23,7 @@ class TestJobModel:
     def test_roundtrip(self):
         job = Job("repair", RACY, source_name="a.hj", args=(40, "x"),
                   algorithm="srw", strip_finishes=True, max_iterations=7,
-                  replay=False, timeout_s=2.5)
+                  timeout_s=2.5)
         clone = Job.from_dict(json.loads(json.dumps(job.to_dict())))
         assert clone.to_dict() == job.to_dict()
         assert clone.args == (40, "x")
@@ -41,8 +41,8 @@ class TestJobModel:
             Job.from_dict({"kind": "detect", "source": RACY, "bogus": 1})
 
     def test_semantic_fields_exclude_timing_knobs(self):
-        a = Job("detect", RACY, replay=True, timeout_s=1.0)
-        b = Job("detect", RACY, replay=False, timeout_s=9.0)
+        a = Job("detect", RACY, timeout_s=1.0)
+        b = Job("detect", RACY, timeout_s=9.0)
         assert a.semantic_fields() == b.semantic_fields()
 
     def test_semantic_fields_differ_by_kind_knobs(self):
@@ -113,6 +113,50 @@ class TestErrorCapture:
         assert result.error["message"] == "unexpected character '\u00b2'"
         assert (result.error["line"], result.error["column"]) == (1, 22)
         assert "traceback" not in result.error
+
+    def test_huge_integer_literal_is_a_lex_error(self):
+        # int() refuses more than 4300 digits of text.
+        source = "def main() {\n    var x = " + "7" * 4400 + ";\n}\n"
+        result = run_job(Job("detect", source))
+        assert result.status == "error"
+        assert result.error["category"] == "lex"
+        assert result.error["message"] == \
+            "integer literal too long (4400 digits)"
+        assert (result.error["line"], result.error["column"]) == (2, 13)
+        assert "traceback" not in result.error
+
+    #: Squares 10 thirteen times: ``x`` = 10**8192, 8193 digits, past
+    #: the 4300 digits Python converts between int and text.
+    HUGE = "var x = 10; for (var i = 0; i < 13; i = i + 1) { x = x * x; }"
+
+    def _huge_fault(self, statement):
+        source = f"def main() {{\n    {self.HUGE}\n    {statement}\n}}\n"
+        result = run_job(Job("detect", source))
+        assert result.status == "error"
+        assert result.error["category"] == "runtime"
+        assert result.error["line"] == 3
+        assert "traceback" not in result.error
+        return result.error["message"]
+
+    def test_printing_a_huge_integer_is_a_runtime_error(self):
+        assert self._huge_fault("print(x);") == \
+            "integer too large to convert to text (27214 bits)"
+
+    def test_concatenating_a_huge_integer_is_a_runtime_error(self):
+        assert self._huge_fault('var s = "a" + x;') == \
+            "integer too large to convert to text (27214 bits)"
+
+    def test_huge_index_is_a_runtime_error(self):
+        assert self._huge_fault("var a = new int[3]; var y = a[x];") == \
+            "array index <27214-bit integer> out of bounds for length 3"
+
+    def test_huge_array_length_is_a_runtime_error(self):
+        assert self._huge_fault("var a = new int[x];") == \
+            "array length <27214-bit integer> is too large"
+
+    def test_huge_integer_times_double_is_a_runtime_error(self):
+        assert self._huge_fault("var y = 2.5 * x;") == \
+            "'*' failed: int too large to convert to float"
 
     def test_validation_error(self):
         result = run_job(Job("detect", "def f() { }"))  # no main()

@@ -397,3 +397,27 @@ class TestSubmitPath:
         assert item is not None and item[0] == job_id
         assert item[1].status == "ok"
         assert elapsed < 2.0
+
+    def test_busy_dispatcher_wakes_on_submit(self):
+        # One worker is busy, so the dispatcher waits on its pipe, with a
+        # poll interval far above the bound: only a wakeup on submission
+        # hands the new job to the idle worker in time.
+        pool = WorkerPool(workers=2, poll_interval_s=5.0).start()
+        try:
+            long_id = pool.submit(Job("detect", SLOW.replace("2500", "50000"),
+                                      source_name="long.hj"))
+            deadline = time.monotonic() + 10.0
+            while (pool.status(long_id) != "running"
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert pool.status(long_id) == "running"
+            time.sleep(0.2)  # let the dispatcher settle into its wait
+            started = time.monotonic()
+            job_id = pool.submit(Job("detect", RACY))
+            item = pool.next_completed(timeout=10.0)
+            elapsed = time.monotonic() - started
+        finally:
+            pool.shutdown(wait=False)
+        assert item is not None and item[0] == job_id
+        assert item[1].status == "ok"
+        assert elapsed < 2.0

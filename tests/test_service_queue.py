@@ -227,6 +227,37 @@ class TestDurabilityAndIdentity:
         job = make_job()
         assert batch_dedupe_key("b1", job) != batch_dedupe_key("b2", job)
 
+    def test_rows_with_retired_fields_still_run(self, tmp_path):
+        """Queue rows written before the engine/replay/incremental
+        switches were retired carry those keys; they still claim and
+        run, with the result the current job model gives."""
+        import sqlite3
+
+        path = str(tmp_path / "q.db")
+        queue = JobQueue(path)
+        old_rows = []
+        for n, retired in ((1, {"engine": None, "replay": None,
+                                "incremental": None}),
+                           (2, {"engine": "tree", "replay": False,
+                                "incremental": False})):
+            row = dict(make_job(n).to_dict(), **retired)
+            old_rows.append(row)
+            queue.submit(make_job(n), batch_id="old")
+        db = sqlite3.connect(path)
+        with db:
+            for queue_id, row in enumerate(old_rows, start=1):
+                db.execute("UPDATE jobs SET job_json = ? WHERE id = ?",
+                           (json.dumps(row, sort_keys=True), queue_id))
+        db.close()
+        worker = QueueWorker(queue, workers=1, node_id="n1")
+        assert worker.run_until_drained("old") == 2
+        for queue_id, n in ((1, 1), (2, 2)):
+            stored = queue.result(queue_id)
+            assert stored.status == "ok", stored.error
+            reference = run_job(make_job(n))
+            assert (stored.result["repaired_source"]
+                    == reference.result["repaired_source"])
+
     def test_bad_parameters_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             JobQueue(str(tmp_path / "q.db"), lease_s=0)

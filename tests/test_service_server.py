@@ -145,6 +145,22 @@ class TestHttpErrors:
         assert code == 400
         assert "unknown job field" in reply["error"]
 
+    def test_retired_job_fields_are_accepted(self, server):
+        # Clients written for the engine/replay/incremental switches
+        # still submit; an unknown field next to them is still a 400
+        # that names only that field.
+        retired = {"engine": "tree", "replay": False, "incremental": False}
+        status, reply = _post(server, "/jobs",
+                              dict(kind="detect", source=RACY, **retired))
+        assert status == 202
+        result = _poll_done(server, reply["ids"][0])["result"]
+        assert result["status"] == "ok"
+        code, reply = self._expect_error(
+            server, "POST", "/jobs",
+            dict(kind="detect", source=RACY, bogus=1, **retired))
+        assert code == 400
+        assert reply["error"].endswith("unknown job field(s): bogus")
+
     def test_missing_body_is_400(self, server):
         request = urllib.request.Request(_url(server, "/jobs"), data=b"")
         with pytest.raises(urllib.error.HTTPError) as info:

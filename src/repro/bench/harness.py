@@ -17,12 +17,11 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
-from ..dpst.builder import DpstBuilder
-from ..graph import ComputationGraph, greedy_schedule
+from ..graph import ComputationGraph, greedy_schedule, structure_dpst
 from ..lang import serial_elision, strip_finishes
 from ..races import detect_races
 from ..repair import RepairResult, repair_program
-from ..runtime import Interpreter, run_program
+from ..runtime import run_program
 from .students import run_student_experiment
 from .suite import BenchmarkSpec, all_benchmarks
 
@@ -35,9 +34,7 @@ DEFAULT_PROCESSORS = 12
 
 def _schedule(program, args, processors: int):
     """Run instrumented (structure only) and schedule on P workers."""
-    builder = DpstBuilder()
-    Interpreter(program, builder).run(args)
-    graph = ComputationGraph.from_dpst(builder.finish())
+    graph = ComputationGraph.from_dpst(structure_dpst(program, args))
     return greedy_schedule(graph, processors)
 
 

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .graph import measure_program
 from .lang import parse, serial_elision, strip_finishes, validate
-from .races import detect_races
+from .races import ALGORITHMS, detect_races
 from .repair import repair_program
 from .runtime import BUILTIN_NAMES
 
@@ -63,6 +63,14 @@ def _parse_arg(text: str) -> Any:
     if text in ("true", "false"):
         return text == "true"
     return text
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for the counts a ``Job`` requires to be >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, not {text!r}")
+    return int(text)
 
 
 def _source_error_line(path: str, error: SourceError) -> str:
@@ -265,9 +273,7 @@ def _cmd_coverage(options: argparse.Namespace) -> int:
 
 
 def _cmd_dot(options: argparse.Namespace) -> int:
-    from .dpst.builder import DpstBuilder
-    from .graph import ComputationGraph
-    from .runtime import Interpreter
+    from .graph import ComputationGraph, structure_dpst
     from . import viz
 
     program = _load_program(options.file)
@@ -277,9 +283,7 @@ def _cmd_dot(options: argparse.Namespace) -> int:
         print(viz.dpst_to_dot(result.dpst, result.report,
                               max_nodes=options.max_nodes))
     else:
-        builder = DpstBuilder()
-        Interpreter(program, builder).run(args)
-        graph = ComputationGraph.from_dpst(builder.finish())
+        graph = ComputationGraph.from_dpst(structure_dpst(program, args))
         print(viz.computation_graph_to_dot(graph))
     return 0
 
@@ -724,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="mini-HJ source file")
         p.add_argument("--arg", action="append", default=[],
                        help="argument passed to main() (repeatable)")
-        p.add_argument("--algorithm", choices=("mrw", "srw"), default="mrw",
+        p.add_argument("--algorithm", choices=ALGORITHMS, default="mrw",
                        help="ESP-bags variant (default: mrw)")
         p.add_argument("--strip-finishes", action="store_true",
                        help="remove existing finish statements first")
@@ -744,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_repair = sub.add_parser("repair", help="repair the program")
     add_common(p_repair)
     p_repair.add_argument("-o", "--output", help="write repaired source here")
-    p_repair.add_argument("--max-iterations", type=int, default=20)
+    p_repair.add_argument("--max-iterations", type=_positive_int, default=20)
     p_repair.add_argument("--json", action="store_true",
                           help="emit the machine-readable JobResult JSON "
                                "(the batch/HTTP schema) instead of text")
@@ -763,8 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
                            default="repair",
                            help="which pipeline to profile "
                                 "(default: repair)")
-    p_profile.add_argument("--max-iterations", type=int, default=20)
-    p_profile.add_argument("--processors", type=int, default=12,
+    p_profile.add_argument("--max-iterations", type=_positive_int, default=20)
+    p_profile.add_argument("--processors", type=_positive_int, default=12,
                            help="simulated workers (measure profiles only)")
     p_profile.add_argument("--trace-out", metavar="FILE",
                            help="write a Chrome trace_event JSON file "
@@ -777,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
         "measure", help="simulate parallel execution (work/span/T_P)")
     p_measure.add_argument("file")
     p_measure.add_argument("--arg", action="append", default=[])
-    p_measure.add_argument("--processors", type=int, default=12)
+    p_measure.add_argument("--processors", type=_positive_int, default=12)
     p_measure.add_argument("--sequential", action="store_true",
                            help="measure the serial elision instead")
     p_measure.set_defaults(func=_cmd_measure)
@@ -818,10 +822,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--arg", action="append", default=[],
                        help="argument passed to every program's main() "
                             "(repeatable)")
-        p.add_argument("--algorithm", choices=("mrw", "srw"),
-                       default="mrw")
+        p.add_argument("--algorithm", choices=ALGORITHMS, default="mrw")
         p.add_argument("--strip-finishes", action="store_true")
-        p.add_argument("--max-iterations", type=int, default=20)
+        p.add_argument("--max-iterations", type=_positive_int, default=20)
         p.add_argument("--timeout", type=float, default=None,
                        help="per-job wall-clock budget in seconds")
 

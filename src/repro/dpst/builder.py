@@ -8,6 +8,15 @@ Step nodes are created lazily — a step appears only when some cost or
 memory access lands in it — so empty steps never clutter the tree, and
 each step records the ids of the top-level statements it covers (its
 *anchors*), which static finish placement later maps back to AST blocks.
+
+The ESP-bags detectors do not use it: they record the run and build the
+tree afterwards on the array core (:mod:`repro.races.arraycore`).  The
+builder has two roles left.  It builds structure-only trees
+(:func:`repro.graph.structure_dpst`, for ``measure``, Figure 16 and
+``repro dot --view graph``), where building inline measures faster than
+recording and materializing.  And it drives detectors that need the
+tree while the program runs: the vector-clock baseline, the MHP oracle,
+and the object ESP-bags reference the tests hold the array core to.
 """
 
 from __future__ import annotations
@@ -45,7 +54,8 @@ class DetectorBase:
 
 
 class DpstBuilder(ExecutionObserver):
-    """Builds the S-DPST and forwards access events to a detector."""
+    """Builds the S-DPST and forwards access events to a detector (the
+    no-op :class:`DetectorBase` for a structure-only tree)."""
 
     def __init__(self, detector: Optional[DetectorBase] = None) -> None:
         self.detector = detector if detector is not None else DetectorBase()
@@ -68,16 +78,6 @@ class DpstBuilder(ExecutionObserver):
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-
-    @property
-    def current_task(self) -> DpstNode:
-        """The innermost executing task (an async, or the root main task).
-
-        Exposed for trace replay (:mod:`repro.races.replay`), which
-        drives the builder's structural events but calls the detector
-        directly for the per-access stream.
-        """
-        return self._task_stack[-1]
 
     def node_count(self) -> int:
         """Total S-DPST nodes created so far, including the root.

@@ -4,6 +4,7 @@ from typing import Any, Sequence
 
 from .. import telemetry
 from ..dpst.builder import DpstBuilder
+from ..dpst.tree import Dpst
 from ..lang import ast
 from ..runtime.interpreter import Interpreter
 from .computation import ComputationGraph, span_parts, subtree_completion
@@ -15,8 +16,27 @@ __all__ = [
     "subtree_completion",
     "ScheduleResult",
     "greedy_schedule",
+    "structure_dpst",
     "measure_program",
 ]
+
+
+def structure_dpst(program: ast.Program, args: Sequence[Any] = (),
+                   seed: int = 20140609,
+                   max_ops: int = 200_000_000) -> Dpst:
+    """Run ``main(*args)`` and return its S-DPST, with no race detector.
+
+    ``DpstBuilder`` builds the tree inline during the run.  For a
+    structure-only tree this measures faster than recording the run for
+    the array core and materializing the tree from it (DESIGN.md §2).
+    """
+    builder = DpstBuilder()
+    with telemetry.span("execute"):
+        Interpreter(program, builder, seed=seed, max_ops=max_ops).run(args)
+    with telemetry.span("dpst"):
+        dpst = builder.finish()
+    telemetry.counter("dpst.nodes", builder.node_count())
+    return dpst
 
 
 def measure_program(program: ast.Program, args: Sequence[Any] = (),
@@ -31,17 +51,11 @@ def measure_program(program: ast.Program, args: Sequence[Any] = (),
     (see :func:`~repro.graph.schedule.greedy_schedule`).
     """
     with telemetry.span("measure", processors=processors):
-        with telemetry.span("execute"):
-            builder = DpstBuilder()
-            Interpreter(program, builder, seed=seed, max_ops=max_ops
-                        ).run(args)
-        with telemetry.span("dpst"):
-            dpst = builder.finish()
+        dpst = structure_dpst(program, args, seed=seed, max_ops=max_ops)
         with telemetry.span("graph"):
             graph = ComputationGraph.from_dpst(dpst)
         with telemetry.span("schedule"):
             schedule = greedy_schedule(graph, processors,
                                        keep_timeline=keep_timeline)
         telemetry.counter("schedule.steps", len(graph.order))
-        telemetry.counter("dpst.nodes", builder.node_count())
     return schedule

@@ -1,9 +1,9 @@
 """Array-compiled detection core: S-DPST + ESP-bags over flat int streams.
 
-The object engine (``DpstBuilder`` + ``EspBagsDetector``) interleaves
-per-access Python-object work with execution: every monitored access
-crosses engine -> builder (tree nodes, anchor bookkeeping) -> detector
-(tuple-hashed shadow dicts, ``_Access`` allocations).  This module is the
+An object detector driven by ``DpstBuilder`` interleaves per-access
+Python-object work with execution: every monitored access crosses
+engine -> builder (tree nodes, anchor bookkeeping) -> detector
+(tuple-hashed shadow dicts, per-access objects).  This module is the
 batch alternative: it consumes the packed encoding of a run (an
 :class:`~repro.runtime.recorder.ExecutionTrace` — ``addr_id << 1 |
 is_write`` access codes grouped into per-segment runs) and performs all
@@ -24,7 +24,7 @@ of that work *afterwards*, over the flat arrays:
   single-reader slot keeps the *last* access).
 * **Int-indexed summaries** — shadow memory is flat lists indexed by the
   interned address id, accessor summaries store ``(ordinal, step
-  index)`` ints instead of ``_Access`` objects, and clean-scan
+  index)`` ints instead of per-access objects, and clean-scan
   fingerprints live in contiguous int arrays.
 
 Two producers feed the same core: the live first run (``detect_races``
@@ -36,9 +36,9 @@ chains of later-inserted ``finish`` statements).
 **Equivalence contract.**  For any trace the core's
 :class:`~repro.races.report.RaceReport` (race order, step indices, AST
 nodes, task ids, addresses) and materialized S-DPST are bit-identical to
-the object reference's (``DpstBuilder`` + :mod:`repro.races.esp`, which
-``detect_races`` runs for a caller-supplied ``detector=``), for both the
-MRW and SRW variants.  The dedup and fingerprint filters only ever skip
+those of the object ESP-bags detectors kept in ``tests/esp_reference.py``
+(run through ``DpstBuilder`` by ``detect_races(..., detector=...)``),
+for both the MRW and SRW variants.  The dedup and fingerprint filters only ever skip
 work whose outcome is provable from the clock invariant;
 ``tests/test_arraycore.py`` enforces this differentially over the bench
 and student corpora.
@@ -64,7 +64,10 @@ from ..runtime.recorder import (
 from .bags import BagManager
 from .report import DataRace, RaceReport
 
-#: must match the object detectors' implicit whole-program finish key.
+#: the ESP-bags variants, one per array detector below.
+ALGORITHMS = ("mrw", "srw")
+
+#: the bag key of the implicit whole-program finish.
 _IMPLICIT_FINISH = "implicit-root-finish"
 
 #: race-kind codes, index = code used in race rows.

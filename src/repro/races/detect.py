@@ -4,14 +4,18 @@ This is the "Data Race Detection" box of Figure 6: run the program
 sequentially on the test input, build the S-DPST, and collect the race
 set with the selected ESP-bags variant.
 
-The ESP-bags detectors run on the **array core**: the run's observer
-stream is buffered into the packed trace encoding as it executes, then
-S-DPST maintenance and bag transitions run over the flat arrays in batch
-(:mod:`repro.races.arraycore`).  A caller-supplied ``detector=`` (the
-MHP oracle, or the object ESP-bags reference of :mod:`repro.races.esp`
-that the differential tests pin the array core to) and the non-ESP
-``"vc"`` algorithm instead run inline on the object path:
-:class:`~repro.dpst.builder.DpstBuilder` driving the detector's hooks.
+Two paths:
+
+* ``"mrw"`` and ``"srw"`` (:data:`~repro.races.arraycore.ALGORITHMS`)
+  run on the **array core**: the run's observer stream is buffered into
+  the packed trace encoding as it executes, then S-DPST maintenance and
+  bag transitions run over the flat arrays in batch
+  (:mod:`repro.races.arraycore`).
+* The vector-clock baseline (``"vc"``) and a caller-supplied
+  ``detector=`` (a :class:`~repro.dpst.builder.DetectorBase` with a
+  ``report()`` method, such as the MHP oracle) run inline:
+  :class:`~repro.dpst.builder.DpstBuilder` drives the detector's hooks
+  during the run.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from ..dpst.builder import DetectorBase, DpstBuilder
 from ..dpst.tree import Dpst
 from ..lang import ast
 from ..runtime.interpreter import ExecutionResult, Interpreter
-from .esp import EspBagsDetector, make_detector
+from .arraycore import ALGORITHMS
 from .report import RaceReport
+from .vectorclock import VectorClockDetector
 
 
 def _harvest_counters(execution: ExecutionResult, node_count: int,
@@ -126,7 +131,7 @@ class DetectionResult:
 
 def detect_races(program: ast.Program, args: Sequence[Any] = (),
                  algorithm: str = "mrw",
-                 detector: Optional[EspBagsDetector] = None,
+                 detector: Optional[DetectorBase] = None,
                  seed: int = 20140609,
                  max_ops: int = 200_000_000,
                  record_trace: bool = False,
@@ -136,18 +141,18 @@ def detect_races(program: ast.Program, args: Sequence[Any] = (),
     ``algorithm`` selects ``"mrw"`` (default, complete in one run) or
     ``"srw"`` (the original single reader-writer ESP-bags), both on the
     array core, or ``"vc"`` (the vector-clock baseline).  A caller may
-    instead pass a pre-built ``detector`` (e.g. the MHP oracle); it runs
-    on the object path (module docstring).  With ``record_trace=True``
-    the run additionally records an execution trace (``result.trace``)
-    that
+    instead pass a pre-built ``detector`` (e.g. the MHP oracle); it and
+    ``"vc"`` run under ``DpstBuilder`` (module docstring); any other
+    ``algorithm`` raises ``ValueError``.  With ``record_trace=True`` the
+    run additionally records an execution trace (``result.trace``) that
     :func:`~repro.races.replay.replay_detection` can re-detect from after
     finish insertions, without re-executing the program; only the array
     core records, so it raises ``ValueError`` together with a custom
-    ``detector`` or a non-ESP ``algorithm``.  With ``incremental=True``
+    ``detector`` or ``"vc"``.  With ``incremental=True``
     (``record_trace`` only) the result additionally carries the
     ``inc_state`` baseline that incremental replay re-detects against.
     """
-    if detector is None and algorithm in ("mrw", "srw"):
+    if detector is None and algorithm in ALGORITHMS:
         return _detect_races_array(program, args, algorithm, seed,
                                    max_ops, record_trace, incremental)
     if record_trace:
@@ -155,7 +160,9 @@ def detect_races(program: ast.Program, args: Sequence[Any] = (),
             "record_trace needs the array core: pass algorithm='mrw' or "
             "'srw' and no custom detector")
     if detector is None:
-        detector = make_detector(algorithm)
+        if algorithm != "vc":
+            raise ValueError(f"unknown detector algorithm {algorithm!r}")
+        detector = VectorClockDetector()
     start = time.perf_counter()
     with telemetry.span("detect_races", algorithm=algorithm,
                         record_trace=False, core="object"):
@@ -185,12 +192,7 @@ def detect_races(program: ast.Program, args: Sequence[Any] = (),
             if gc_was_enabled:
                 gc.enable()
         with telemetry.span("detect"):
-            if hasattr(detector, "report"):
-                report = detector.report()
-            elif hasattr(detector, "compute_report"):
-                report = detector.compute_report()
-            else:  # pragma: no cover - defensive
-                report = RaceReport([])
+            report = detector.report()
         _harvest_counters(execution, builder.node_count(), detector, report)
     elapsed = time.perf_counter() - start
     return DetectionResult(execution, dpst, report, detector, elapsed)
@@ -210,9 +212,9 @@ def _detect_races_array(program: ast.Program, args: Sequence[Any],
                         record_trace=record_trace, core="array"):
         buffer = TraceBuffer()
         interp = Interpreter(program, buffer, seed=seed, max_ops=max_ops)
-        # Same GC rationale as the object path; the buffer only appends
-        # to flat lists, but the batch pass allocates the long-lived
-        # shadow summaries.
+        # Same GC rationale as the DpstBuilder path; the buffer only
+        # appends to flat lists, but the batch pass allocates the
+        # long-lived shadow summaries.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

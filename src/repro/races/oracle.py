@@ -68,7 +68,7 @@ class OracleDetector(DetectorBase):
         self._seen_task_kind.add(key)
         bucket.append(_Entry(is_write, step, node, task.index, first))
 
-    def compute_report(self) -> RaceReport:
+    def report(self) -> RaceReport:
         """Pairwise MHP check over all recorded accesses."""
         races: List[DataRace] = []
         seen = set()

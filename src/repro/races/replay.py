@@ -36,7 +36,7 @@ from ..errors import ReplayError
 from ..lang import ast
 from ..runtime.interpreter import ExecutionResult
 from ..runtime.recorder import ExecutionTrace
-from .arraycore import run_arraycore
+from .arraycore import ALGORITHMS, run_arraycore
 from .detect import DetectionResult
 from .incremental import (
     IncrementalMiss,
@@ -135,7 +135,7 @@ def _replay_detection(trace: ExecutionTrace, program: ast.Program,
                       baseline: Optional[IncrementalState] = None
                       ) -> DetectionResult:
     start = time.perf_counter()
-    if algorithm not in ("srw", "mrw"):
+    if algorithm not in ALGORITHMS:
         raise ReplayError(
             f"replay supports the 'srw' and 'mrw' detectors, "
             f"not {algorithm!r}")

@@ -44,6 +44,7 @@ from ..lang.transform import (
     statement_span,
     synthetic_finishes,
 )
+from ..races import ALGORITHMS
 from ..races.detect import DetectionResult, detect_races
 from .dependence import build_dependence_graph, group_races_by_nslca
 from .insertion import InsertionFinder, InsertionPoint, build_scope_table
@@ -199,7 +200,7 @@ class RepairEngine:
         #: record the iteration-0 execution and replay it for every later
         #: re-detection instead of re-executing (only the ESP-bags
         #: detectors support replay; anything else re-executes).
-        self.reuse_trace = bool(reuse_trace) and algorithm in ("mrw", "srw")
+        self.reuse_trace = bool(reuse_trace) and algorithm in ALGORITHMS
         #: re-detect incrementally against the previous iteration's
         #: race rows instead of re-scanning the whole trace (requires
         #: replay and the MRW detector — SRW rows cannot be transformed;

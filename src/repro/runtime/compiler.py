@@ -31,7 +31,6 @@ loop mutates the AST between iterations anyway.
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import RuntimeFault
@@ -48,8 +47,8 @@ from .interpreter import (
     _ContinueSignal,
     _ReturnSignal,
     arithmetic_fault,
-    bad_length_message,
     binary_op,
+    check_array_length,
     to_display,
     truth_value,
     unary_op,
@@ -1089,15 +1088,12 @@ class CompiledEngine:
         last_dim = len(dim_fns) - 1
         st = self._st
         check = self._check_budget
+        max_ops = self.max_ops
         line, col = expr.line, expr.col
 
         def alloc(env: Environment, dim: int) -> ArrayValue:
-            length = dim_fns[dim](env)
-            if type(length) is not int:
-                raise RuntimeFault("array length must be an integer",
-                                   line, col)
-            if not 0 <= length <= sys.maxsize:
-                raise RuntimeFault(bad_length_message(length), line, col)
+            length = check_array_length(dim_fns[dim](env), max_ops, line,
+                                        col)
             if dim == last_dim:
                 return ArrayValue(length, fill)
             array = ArrayValue(length, None)

@@ -273,12 +273,24 @@ def binary_op(op: str, left: Any, right: Any, node: ast.Node) -> Any:
     raise RuntimeFault(f"unknown operator {op!r}", node.line, node.col)
 
 
-def bad_length_message(length: int) -> str:
-    """Why ``new T[length]`` cannot allocate: negative, or too large for
-    a Python list (past ``sys.maxsize``)."""
+def check_array_length(length: Any, max_ops: int, line: int,
+                       col: int) -> int:
+    """The length of one ``new T[length]`` dimension, or a fault.
+
+    Both engines call this.  A length must be an int in
+    ``0..max_ops``: a run cannot fill more elements than its operation
+    budget, and a longer array would be allocated before the step limit
+    could stop it (``new int[10**10]`` exhausts memory, not ops).
+    """
+    if type(length) is not int:
+        raise RuntimeFault("array length must be an integer", line, col)
     if length < 0:
-        return f"negative array length {to_display(length)}"
-    return f"array length {to_display(length)} is too large"
+        raise RuntimeFault(f"negative array length {to_display(length)}",
+                           line, col)
+    if length > max_ops:
+        raise RuntimeFault(f"array length {to_display(length)} is too large",
+                           line, col)
+    return length
 
 
 class Interpreter:
@@ -658,13 +670,8 @@ class Interpreter:
 
     def _alloc_array(self, expr: ast.NewArray, env: Environment,
                      dim: int) -> ArrayValue:
-        length = self._eval(expr.dims[dim], env)
-        if isinstance(length, bool) or not isinstance(length, int):
-            raise RuntimeFault("array length must be an integer",
-                               expr.line, expr.col)
-        if not 0 <= length <= sys.maxsize:
-            raise RuntimeFault(bad_length_message(length),
-                               expr.line, expr.col)
+        length = check_array_length(self._eval(expr.dims[dim], env),
+                                    self.max_ops, expr.line, expr.col)
         if dim == len(expr.dims) - 1:
             return ArrayValue(length, default_fill(expr.elem_type))
         array = ArrayValue(length, None)

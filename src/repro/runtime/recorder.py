@@ -116,10 +116,6 @@ class ExecutionTrace:
             cache = self._replay_cache = {}
         return cache
 
-    @property
-    def access_count(self) -> int:
-        return len(self.acodes)
-
     def decode_accesses(self):
         """Decode ``acodes`` back into the ``(addr, kind)`` sequence the
         observer saw, with ``kind`` one of ``"read"``/``"write"``.  The

@@ -33,6 +33,7 @@ from ..errors import (
     StepLimitExceeded,
     ValidationError,
 )
+from ..races import ALGORITHMS
 
 #: Job kinds, mirroring the CLI verbs they batch.
 JOB_KINDS = ("detect", "repair", "measure")
@@ -45,6 +46,17 @@ STATUSES = ("ok", "error", "timeout", "crashed", "cancelled")
 #: (same source, same args ⇒ same error) — the cacheable failures.
 DETERMINISTIC_ERRORS = frozenset(
     ("lex", "parse", "validate", "runtime", "step-limit", "repair"))
+
+
+def _check_positive_int(name: str, value: Any) -> None:
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be a positive integer, "
+                         f"not {value!r}")
+
+
+def _check_bool(name: str, value: Any) -> None:
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be true or false, not {value!r}")
 
 
 def _error_category(error: BaseException) -> str:
@@ -72,7 +84,9 @@ class Job:
 
     Everything is plain data; ``to_dict``/``from_dict`` round-trip
     losslessly, and the dictionary form is what travels to worker
-    processes and into HTTP request bodies.
+    processes and into HTTP request bodies.  A field of the wrong type or
+    out of range raises ``ValueError`` here, at construction, so it never
+    reaches a worker.
     """
 
     __slots__ = ("kind", "source", "source_name", "args", "algorithm",
@@ -95,6 +109,15 @@ class Job:
         if kind not in JOB_KINDS:
             raise ValueError(f"unknown job kind {kind!r}; "
                              f"expected one of {', '.join(JOB_KINDS)}")
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algorithm!r}; "
+                             f"expected one of {', '.join(ALGORITHMS)}")
+        for name, value in (("processors", processors),
+                            ("max_ops", max_ops),
+                            ("max_iterations", max_iterations)):
+            _check_positive_int(name, value)
+        _check_bool("strip_finishes", strip_finishes)
+        _check_bool("sequential", sequential)
         self.kind = kind
         self.source = source
         self.source_name = source_name

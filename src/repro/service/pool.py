@@ -157,13 +157,9 @@ class PoolStats:
 
     Mutated only under the owning pool's lock; readers must go through
     :meth:`WorkerPool.stats_snapshot` / :meth:`WorkerPool.metrics_snapshot`
-    (or otherwise hold the pool lock) — the dicts and sample deques here
+    (or otherwise hold the pool lock) — the dicts and histograms here
     are not safe to iterate while a completion is being recorded.
     """
-
-    #: retained phase-latency samples per phase (ring buffer); bounds a
-    #: long-lived server's memory while keeping p50/p95 meaningful.
-    MAX_PHASE_SAMPLES = 4096
 
     def __init__(self) -> None:
         self.submitted = 0
@@ -172,12 +168,10 @@ class PoolStats:
         self.coalesced = 0
         #: per-kind latency accumulators over executed (non-cached) jobs.
         self.latency: Dict[str, Dict[str, float]] = {}
-        #: phase name -> recent per-job latency samples (seconds), from
-        #: executed jobs' telemetry timings.
-        self.phases: Dict[str, deque] = {}
-        #: phase name -> fixed-bucket histogram over the *whole* uptime
-        #: (the sample rings above forget; these are exact, mergeable
-        #: across nodes, and feed the Prometheus exposition).
+        #: phase name -> fixed-bucket histogram of executed jobs' phase
+        #: timings over the whole uptime: constant-size, mergeable across
+        #: nodes, and the source of both the ``phases`` summaries and the
+        #: Prometheus exposition.
         self.histograms: Dict[str, telemetry.Histogram] = {}
         #: summed runtime counters across executed jobs' telemetry.
         self.counters: Dict[str, int] = {}
@@ -202,11 +196,6 @@ class PoolStats:
             entry["count"] += 1
             entry["total_s"] += result.elapsed_s
             for phase, seconds in (result.timings or {}).items():
-                samples = self.phases.get(phase)
-                if samples is None:
-                    samples = self.phases[phase] = deque(
-                        maxlen=self.MAX_PHASE_SAMPLES)
-                samples.append(seconds)
                 hist = self.histograms.get(phase)
                 if hist is None:
                     hist = self.histograms[phase] = telemetry.Histogram()
@@ -242,10 +231,8 @@ class PoolStats:
 
     def phases_dict(self) -> Dict[str, Dict[str, Any]]:
         """Per-phase latency summaries (count/mean/p50/p95/max, ms)."""
-        from ..telemetry import summarize_samples
-
-        return {phase: summarize_samples(list(samples))
-                for phase, samples in sorted(self.phases.items())}
+        return {phase: hist.summary()
+                for phase, hist in sorted(self.histograms.items())}
 
     def histograms_dict(self) -> Dict[str, Dict[str, Any]]:
         """Per-phase fixed-bucket histograms, serialized."""

@@ -119,14 +119,16 @@ class JobQueue:
         #: in-process counters for queue events that are otherwise
         #: invisible from the outside (they leave no distinct row
         #: state): dedupe hits, expired leases re-offered, retry-budget
-        #: failures.  Surfaced by :meth:`gauges` → ``/metrics`` and the
-        #: batch ``--queue`` summary.  Per-process by design — each
-        #: node reports what *it* observed.
+        #: failures, rows that no longer load as a job.  Surfaced by
+        #: :meth:`gauges` → ``/metrics`` and the batch ``--queue``
+        #: summary.  Per-process by design — each node reports what
+        #: *it* observed.
         self._counters_lock = threading.Lock()
         self.counters: Dict[str, int] = {
             "dedupe_hits": 0,
             "expired_reclaims": 0,
             "expired_failures": 0,
+            "invalid_rows": 0,
         }
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
@@ -237,7 +239,9 @@ class JobQueue:
         expired lease (the owner stopped heartbeating — crashed,
         SIGKILL'd, partitioned).  Expired jobs whose retry budget is
         exhausted are transitioned to ``failed`` here, with a structured
-        result, rather than handed out again.
+        result, rather than handed out again.  So is a row whose job no
+        longer validates (written under an older, looser ``Job``): its
+        result is an ``invalid-job`` error naming the bad field.
         """
         conn = self._conn()
         lease = self.lease_s if lease_s is None else lease_s
@@ -254,24 +258,24 @@ class JobQueue:
                 if row is None:
                     conn.execute("COMMIT")
                     return None
-                job = Job.from_dict(json.loads(row["job_json"]))
+                data = json.loads(row["job_json"])
+                try:
+                    job = Job.from_dict(data)
+                except (TypeError, ValueError) as error:
+                    self._fail_row(conn, row["id"], now_, _raw_result(
+                        data, "error", "invalid-job", str(error)))
+                    self._count("invalid_rows")
+                    continue  # look for the next runnable job
                 if row["attempts"] >= row["max_attempts"]:
                     # Budget exhausted: every granted lease expired
-                    # without a completion.  Fail the job with a real
-                    # result so batch consumers see a structured error.
+                    # without a completion.
                     outcome = JobResult.interrupted(
                         job, "crashed",
                         f"lease expired {row['attempts']} time(s); "
                         f"retry budget of {row['max_attempts']} exhausted")
-                    conn.execute(
-                        "UPDATE jobs SET state = 'failed', result_json = ?, "
-                        "lease_owner = NULL, lease_expires_at = NULL, "
-                        "finished_at = ? WHERE id = ?",
-                        (json.dumps(outcome.to_dict(), sort_keys=True),
-                         now_, row["id"]))
-                    conn.execute("COMMIT")
+                    self._fail_row(conn, row["id"], now_, outcome)
                     self._count("expired_failures")
-                    continue  # look for the next runnable job
+                    continue
                 conn.execute(
                     "UPDATE jobs SET state = 'leased', lease_owner = ?, "
                     "lease_expires_at = ?, attempts = attempts + 1, "
@@ -287,6 +291,19 @@ class JobQueue:
                 conn.execute("ROLLBACK")
                 raise QueueError(f"claim failed: {error}") from error
             return int(row["id"]), job, int(row["attempts"]) + 1
+
+    @staticmethod
+    def _fail_row(conn: sqlite3.Connection, queue_id: int, now: float,
+                  outcome: JobResult) -> None:
+        """Finish a claimed row as ``failed`` with a structured result,
+        so batch consumers see an error instead of a missing job, and
+        commit the claim's transaction."""
+        conn.execute(
+            "UPDATE jobs SET state = 'failed', result_json = ?, "
+            "lease_owner = NULL, lease_expires_at = NULL, "
+            "finished_at = ? WHERE id = ?",
+            (json.dumps(outcome.to_dict(), sort_keys=True), now, queue_id))
+        conn.execute("COMMIT")
 
     def heartbeat(self, queue_id: int, owner: str,
                   lease_s: Optional[float] = None,
@@ -451,9 +468,9 @@ class JobQueue:
                     "WHERE state = 'queued' AND batch_id = ?",
                     (batch_id,)).fetchall()
             for row in rows:
-                job = Job.from_dict(json.loads(row["job_json"]))
-                outcome = JobResult.interrupted(
-                    job, "cancelled", "queue drained before dispatch")
+                outcome = _raw_result(json.loads(row["job_json"]),
+                                      "cancelled", "cancelled",
+                                      "queue drained before dispatch")
                 conn.execute(
                     "UPDATE jobs SET state = 'cancelled', result_json = ?, "
                     "finished_at = ? WHERE id = ? AND state = 'queued'",
@@ -464,6 +481,15 @@ class JobQueue:
             conn.execute("ROLLBACK")
             raise QueueError(f"drain failed: {error}") from error
         return len(rows)
+
+
+def _raw_result(data: Dict[str, Any], status: str, category: str,
+                message: str) -> JobResult:
+    """A failure result for a queue row read as raw JSON, so that it
+    needs no job that validates."""
+    return JobResult(status, str(data.get("kind")),
+                     str(data.get("source_name", "<job>")),
+                     error={"category": category, "message": message})
 
 
 def batch_dedupe_key(batch_id: str, job: Job) -> str:

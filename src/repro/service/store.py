@@ -12,8 +12,7 @@ network cache) slot in without touching the cache logic.
 * **Sharded layout.**  Entries live at ``<root>/<key[:2]>/<key>.json``
   — 256 subdirectories, so a million-entry cache never puts a million
   files in one directory, and per-shard scans keep eviction cheap.
-  Entries written by older (flat) layouts are still found and are
-  migrated to their shard on first rewrite.
+  Nothing else under the root is read or counted.
 * **Multi-node sharing.**  Writes are atomic (temp file +
   ``os.replace``), and keys are content addresses, so any number of
   nodes — processes or hosts on a shared filesystem — read and write
@@ -75,28 +74,23 @@ class DirectoryStore(CacheStore):
         return os.path.join(self.path, key[:self.SHARD_CHARS],
                             f"{key}.json")
 
-    def _flat_file(self, key: str) -> str:
-        """The pre-sharding layout: ``<root>/<key>.json``."""
-        return os.path.join(self.path, f"{key}.json")
-
     # -- CacheStore ----------------------------------------------------
 
     def read(self, key: str) -> Optional[Dict[str, Any]]:
-        for candidate in (self._shard_file(key), self._flat_file(key)):
-            try:
-                with open(candidate, "r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            try:
-                # Refresh atime *and* mtime: eviction ranks by mtime
-                # (atime is unreliable under relatime/noatime mounts),
-                # so a read hit counts as recent use.
-                os.utime(candidate, None)
-            except OSError:
-                pass
-            return entry
-        return None
+        path = self._shard_file(key)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                entry = json.load(handle)
+        except (OSError, ValueError):
+            return None
+        try:
+            # Refresh atime *and* mtime: eviction ranks by mtime (atime
+            # is unreliable under relatime/noatime mounts), so a read hit
+            # counts as recent use.
+            os.utime(path, None)
+        except OSError:
+            pass
+        return entry
 
     def write(self, key: str, entry: Dict[str, Any]) -> None:
         target = self._shard_file(key)
@@ -117,11 +111,6 @@ class DirectoryStore(CacheStore):
             except OSError:
                 pass
             return
-        # Retire the flat-layout twin so it cannot shadow future state.
-        try:
-            os.unlink(self._flat_file(key))
-        except OSError:
-            pass
         if self.max_bytes is not None:
             with self._lock:
                 if self._size_bytes is not None:
@@ -134,29 +123,25 @@ class DirectoryStore(CacheStore):
     # -- size bounding -------------------------------------------------
 
     def _entries(self):
-        """Yield ``(path, size, mtime)`` for every stored entry, flat
-        and sharded."""
+        """Yield ``(path, size, mtime)`` for every stored entry."""
         try:
             names = os.listdir(self.path)
         except OSError:
             return
         for name in names:
             full = os.path.join(self.path, name)
-            if name.endswith(".json"):
-                stat = self._stat(full)
+            if len(name) != self.SHARD_CHARS or not os.path.isdir(full):
+                continue
+            try:
+                inner = os.listdir(full)
+            except OSError:
+                continue
+            for leaf in inner:
+                if not leaf.endswith(".json"):
+                    continue
+                stat = self._stat(os.path.join(full, leaf))
                 if stat is not None:
                     yield stat
-            elif len(name) == self.SHARD_CHARS and os.path.isdir(full):
-                try:
-                    inner = os.listdir(full)
-                except OSError:
-                    continue
-                for leaf in inner:
-                    if not leaf.endswith(".json"):
-                        continue
-                    stat = self._stat(os.path.join(full, leaf))
-                    if stat is not None:
-                        yield stat
 
     @staticmethod
     def _stat(path: str) -> Optional[Tuple[str, int, float]]:

@@ -3,7 +3,7 @@
 A :class:`Counters` set is a locked name → int map.  The intended feed
 pattern is *harvest, don't instrument*: the runtime and the detectors
 already maintain their own plain-int aggregates on the hot paths (the
-interpreter's op count, ``EspBagsDetector.monitored_accesses``,
+interpreter's op count, a detector's ``monitored_accesses``,
 ``BagManager.unions``, the S-DPST builder's node counter), and the phase
 boundaries in :mod:`repro.races.detect` / :mod:`repro.races.replay` /
 :mod:`repro.repair.engine` / :mod:`repro.repair.placement` copy those

@@ -1,12 +1,11 @@
 """Fleet-health metrics: fixed-bucket latency histograms + Prometheus.
 
-The pool's ``/metrics`` has carried bounded sample rings (p50/p95/max
-over the last N jobs) since PR 5.  Sample rings forget: a burst of slow
-jobs an hour ago vanishes from the percentiles, and two nodes' rings
-cannot be added together.  A :class:`Histogram` over **fixed log-spaced
-buckets** fixes both — counts are exact over the whole uptime, merging
-is element-wise addition, and the shape is precisely what Prometheus'
-``histogram_quantile`` expects.
+A :class:`Histogram` over **fixed log-spaced buckets** summarizes a
+latency distribution in constant space: counts are exact over the whole
+uptime, merging is element-wise addition, and the shape is precisely
+what Prometheus' ``histogram_quantile`` expects.  The pool's
+``/metrics`` ``phases`` summaries (:meth:`Histogram.summary`) are read
+off the same histograms.
 
 :func:`render_prometheus` turns the service's ``/metrics`` JSON snapshot
 into the Prometheus text exposition format (version 0.0.4), so standard
@@ -52,7 +51,7 @@ class Histogram:
     like every other stat.
     """
 
-    __slots__ = ("bounds", "counts", "count", "sum_s")
+    __slots__ = ("bounds", "counts", "count", "sum_s", "max_s")
 
     def __init__(self, bounds: Iterable[float] = DEFAULT_BUCKETS_S) -> None:
         self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
@@ -63,17 +62,22 @@ class Histogram:
         self.counts: List[int] = [0] * len(self.bounds)
         self.count = 0
         self.sum_s = 0.0
+        #: the largest observation, exact (not a bucket bound).
+        self.max_s = 0.0
 
     def observe(self, value_s: float) -> None:
         value_s = max(float(value_s), 0.0)
         self.count += 1
         self.sum_s += value_s
+        if value_s > self.max_s:
+            self.max_s = value_s
         index = bisect_left(self.bounds, value_s)
         for i in range(index, len(self.counts)):
             self.counts[i] += 1
 
     def merge(self, other: "Histogram | Dict[str, Any]") -> None:
-        """Element-wise addition (same bounds required)."""
+        """Element-wise addition (same bounds required); ``max_s`` is
+        the larger of the two."""
         if isinstance(other, dict):
             other = Histogram.from_dict(other)
         if other.bounds != self.bounds:
@@ -83,6 +87,7 @@ class Histogram:
             self.counts[i] += n
         self.count += other.count
         self.sum_s += other.sum_s
+        self.max_s = max(self.max_s, other.max_s)
 
     def quantile(self, q: float) -> float:
         """An upper-bound estimate of the ``q``-quantile (the smallest
@@ -96,12 +101,29 @@ class Histogram:
                 return bound
         return math.inf
 
+    def summary(self) -> Dict[str, Any]:
+        """The ``/metrics`` phase summary: count, total and mean, and
+        p50/p95/max in milliseconds.  A percentile is its bucket's upper
+        bound, capped at the exact maximum, so ``max >= p95 >= p50``."""
+        if not self.count:
+            return {"count": 0, "total_s": 0.0, "mean_ms": 0.0,
+                    "p50_ms": 0.0, "p95_ms": 0.0, "max_ms": 0.0}
+        return {
+            "count": self.count,
+            "total_s": round(self.sum_s, 6),
+            "mean_ms": round(self.sum_s / self.count * 1000, 3),
+            "p50_ms": round(min(self.quantile(0.50), self.max_s) * 1000, 3),
+            "p95_ms": round(min(self.quantile(0.95), self.max_s) * 1000, 3),
+            "max_ms": round(self.max_s * 1000, 3),
+        }
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "buckets": [[bound, count] for bound, count
                         in zip(self.bounds, self.counts)],
             "count": self.count,
             "sum_s": round(self.sum_s, 9),
+            "max_s": round(self.max_s, 9),
         }
 
     @classmethod
@@ -113,6 +135,7 @@ class Histogram:
             hist.counts[i] = int(count)
         hist.count = int(data.get("count", 0))
         hist.sum_s = float(data.get("sum_s", 0.0))
+        hist.max_s = float(data.get("max_s", 0.0))
         return hist
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -29,7 +29,7 @@ linked by ids, not by timestamps.
 Emission cost follows the telemetry policy (DESIGN.md §9): nothing is
 written from per-access hot paths; spans are exported once per job, so
 enabled tracing stays within the <5 % overhead budget enforced by
-``scripts/observability_ci.py``.
+``scripts/telemetry_ci.py``.
 
 Enable by environment — ``REPRO_TRACELOG=/path/node.jsonl`` (and
 optionally ``REPRO_TRACELOG_LEVEL=debug|info|warn|error``,

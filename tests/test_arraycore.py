@@ -2,7 +2,7 @@
 
 The core's contract is bit-identical output to the object ESP-bags
 reference (``detect_races(detector=make_detector(alg))``, i.e.
-``DpstBuilder`` + races/esp.py) — same race report (order, kinds, step
+``DpstBuilder`` + tests/esp_reference.py) — same race report (order, kinds, step
 indices, AST nodes, task ids, addresses), same S-DPST, same bag-union
 and access counters — for both ESP-bags variants and both of the core's
 producers: the live first run (``"0"``) and a replay of that run's
@@ -28,16 +28,16 @@ from repro.bench.suite import BENCHMARK_ORDER, get_benchmark
 from repro.dpst.tree import Dpst
 from repro.lang import parse, strip_finishes
 from repro.races import (
+    ALGORITHMS,
     ArrayMrwDetector,
     ArraySrwDetector,
     detect_races,
-    make_detector,
 )
 from repro.races.replay import replay_detection
 from tests.conftest import build
+from tests.esp_reference import make_detector
 from tests.test_replay import dpst_sig, norm_report
 
-ALGORITHMS = ("mrw", "srw")
 #: the array core's producers: "0" = live first run, "1" = replay of
 #: the live run's recorded trace (no edits).
 PRODUCERS = ("0", "1")
@@ -164,6 +164,19 @@ class TestCoreSelection:
             detector=VectorClockDetector())
         assert isinstance(detection.detector, VectorClockDetector)
         assert not detection.report.is_race_free
+
+    def test_vc_runs_under_the_builder(self):
+        from repro.races import VectorClockDetector
+        detection = detect_races(
+            build("var x = 0; def main() { async { x = 1; } print(x); }"),
+            algorithm="vc")
+        assert isinstance(detection.detector, VectorClockDetector)
+        assert not detection.report.is_race_free
+
+    @pytest.mark.parametrize("algorithm", ["bogus", "esp", None])
+    def test_unknown_algorithm_rejected(self, algorithm):
+        with pytest.raises(ValueError, match="unknown detector algorithm"):
+            detect_races(build("def main() {}"), algorithm=algorithm)
 
     def test_custom_detector_cannot_record_trace(self):
         with pytest.raises(ValueError, match="record_trace"):

@@ -172,6 +172,20 @@ class TestErrors:
         assert str(path) in err and "validation error:" in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["repair", "--max-iterations", "0"],
+        ["repair", "--json", "--max-iterations", "x"],
+        ["measure", "--processors", "-1"],
+        ["batch", "--max-iterations", "0"],
+        ["queue", "submit", "--queue", "q.db", "--max-iterations", "0"],
+    ])
+    def test_counts_must_be_positive(self, racy_file, argv, capsys):
+        # A usage error, not a traceback from the job model.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv[:-2] + [racy_file] + argv[-2:])
+        assert excinfo.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
 class TestJsonMode:
     def test_detect_json_schema(self, racy_file, capsys):
         code = main(["detect", racy_file, "--json"])

@@ -201,6 +201,23 @@ class TestErrorParity:
         assert errors["tree"] == errors["compiled"]
         assert errors["tree"][1] == 3
 
+    @pytest.mark.parametrize("dims,max_ops", [
+        ("[10000000000]", 200_000_000),
+        ("[101]", 100),
+        ("[3][101]", 100),
+        ("[-1]", 100),
+    ])
+    def test_array_length_cap_faults_alike(self, dims, max_ops):
+        # One length check serves both engines: an int in 0..max_ops.
+        source = f"def main() {{\n    var a = 1;\n    a = new int{dims};\n}}\n"
+        errors = {}
+        for engine in ENGINES:
+            with pytest.raises(RuntimeFault) as excinfo:
+                run_on(engine, build(source), (), max_ops=max_ops)
+            errors[engine] = (str(excinfo.value), excinfo.value.line)
+        assert errors["tree"] == errors["compiled"]
+        assert errors["tree"][1] == 3
+
     def test_step_limit_parity(self):
         source = """
         def main() {

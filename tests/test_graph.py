@@ -2,22 +2,20 @@
 
 import pytest
 
-from repro.dpst import DpstBuilder
 from repro.graph import (
     ComputationGraph,
     greedy_schedule,
     measure_program,
     span_parts,
+    structure_dpst,
 )
-from repro.runtime import Interpreter
+from repro.races import detect_races
 from tests.conftest import build
+from tests.test_replay import dpst_sig
 
 
 def graph_of(source: str, args=()):
-    program = build(source)
-    builder = DpstBuilder()
-    Interpreter(program, builder).run(args)
-    tree = builder.finish()
+    tree = structure_dpst(build(source), args)
     return tree, ComputationGraph.from_dpst(tree)
 
 
@@ -197,3 +195,18 @@ class TestMeasureProgram:
         }"""
         result = measure_program(build(source), (), processors=2)
         assert result.span < result.work
+
+
+class TestStructureDpst:
+    @pytest.mark.parametrize("source", [SEQUENTIAL, PARALLEL])
+    def test_same_tree_as_the_array_core(self, source):
+        # The structure-only builder and the detection pipeline's
+        # materialized tree describe the same run node for node.
+        tree = structure_dpst(build(source))
+        assert dpst_sig(tree) == dpst_sig(detect_races(build(source)).dpst)
+
+    def test_step_limit_applies(self):
+        from repro.errors import StepLimitExceeded
+
+        with pytest.raises(StepLimitExceeded):
+            structure_dpst(build(SEQUENTIAL), max_ops=5)

@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lang import parse
-from repro.races import MrwEspBagsDetector, detect_races
+from repro.races import detect_races
 from repro.races.replay import replay_detection
 from repro.runtime.recorder import TraceBuffer
+from tests.esp_reference import MrwEspBagsDetector
 
 # ----------------------------------------------------------------------
 # Synthetic access scripts: the three real address shapes, built fresh

@@ -49,18 +49,30 @@ class TestSubpackageSurfaces:
     def test_races(self):
         import repro.races
         from repro.races import (  # noqa: F401
-            detect_races, make_detector, DataRace, RaceReport,
-            SrwEspBagsDetector, MrwEspBagsDetector, OracleDetector,
-            VectorClockDetector, ArrayMrwDetector, ArraySrwDetector,
-            run_arraycore, replay_detection, DetectionResult,
+            ALGORITHMS, detect_races, DataRace, RaceReport,
+            OracleDetector, VectorClockDetector, ArrayMrwDetector,
+            ArraySrwDetector, run_arraycore, replay_detection,
+            DetectionResult,
         )
 
-        # One production ESP-bags path: no detection-core selector.
-        assert "CORES" not in repro.races.__all__
+        assert ALGORITHMS == ("mrw", "srw")
+        # One ESP-bags implementation: the array core.  The object
+        # detectors live in tests/esp_reference.py, and there is no
+        # detection-core selector.
+        assert sorted(repro.races.__all__) == sorted([
+            "ALGORITHMS", "BagManager", "S_BAG", "P_BAG", "DataRace",
+            "RaceReport", "addr_to_str", "merge_reports", "OracleDetector",
+            "VectorClockDetector", "ArrayMrwDetector", "ArraySrwDetector",
+            "run_arraycore", "DetectionResult", "detect_races",
+            "replay_detection"])
+        for name in ("EspBagsDetector", "SrwEspBagsDetector",
+                     "MrwEspBagsDetector", "make_detector", "CORES"):
+            assert not hasattr(repro.races, name), name
 
     def test_graph(self):
         from repro.graph import (  # noqa: F401
             ComputationGraph, greedy_schedule, measure_program, span_parts,
+            structure_dpst,
         )
 
     def test_repair(self):

@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.races import (
+from repro.races import OracleDetector, detect_races
+from tests.conftest import build
+from tests.esp_reference import (
     MrwEspBagsDetector,
-    OracleDetector,
     SrwEspBagsDetector,
-    detect_races,
     make_detector,
 )
-from tests.conftest import build
 
 
 def detect(source: str, args=(), algorithm="mrw"):

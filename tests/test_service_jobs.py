@@ -32,6 +32,51 @@ class TestJobModel:
         with pytest.raises(ValueError, match="unknown job kind"):
             Job("grade", RACY)
 
+    # Malformed knobs fail at construction (a 400 over HTTP), so none
+    # reaches run_job to end as an internal error.
+
+    def test_bogus_algorithm_rejected(self):
+        with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+            Job("detect", RACY, algorithm="bogus")
+
+    def test_none_algorithm_rejected(self):
+        with pytest.raises(ValueError, match="unknown algorithm None"):
+            Job.from_dict({"kind": "repair", "source": RACY,
+                           "algorithm": None})
+
+    def test_zero_processors_rejected(self):
+        with pytest.raises(ValueError, match="processors must be a "
+                                             "positive integer, not 0"):
+            Job("measure", RACY, processors=0)
+
+    def test_string_processors_rejected(self):
+        with pytest.raises(ValueError, match="processors .* not '4'"):
+            Job.from_dict({"kind": "measure", "source": RACY,
+                           "processors": "4"})
+
+    def test_string_max_ops_rejected(self):
+        with pytest.raises(ValueError, match="max_ops .* not 'x'"):
+            Job("detect", RACY, max_ops="x")
+
+    def test_string_max_iterations_rejected(self):
+        with pytest.raises(ValueError, match="max_iterations .* not '3'"):
+            Job.from_dict({"kind": "repair", "source": RACY,
+                           "max_iterations": "3"})
+
+    @pytest.mark.parametrize("field", ["processors", "max_ops",
+                                       "max_iterations"])
+    @pytest.mark.parametrize("value", [-1, True, 2.0, None])
+    def test_counts_must_be_positive_ints(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Job("repair", RACY, **{field: value})
+
+    @pytest.mark.parametrize("field", ["strip_finishes", "sequential"])
+    @pytest.mark.parametrize("value", [1, "yes", None])
+    def test_flags_must_be_bools(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be true or "
+                                             "false"):
+            Job("measure", RACY, **{field: value})
+
     def test_from_dict_requires_kind_and_source(self):
         with pytest.raises(ValueError, match="kind"):
             Job.from_dict({"source": RACY})
@@ -153,6 +198,20 @@ class TestErrorCapture:
     def test_huge_array_length_is_a_runtime_error(self):
         assert self._huge_fault("var a = new int[x];") == \
             "array length <27214-bit integer> is too large"
+
+    def test_array_length_past_the_op_budget_is_a_runtime_error(self):
+        # 10**10 fits an index, but allocating it would exhaust memory
+        # long before the step limit could stop the run.
+        for source, max_ops in (("var a = new int[10000000000];",
+                                 200_000_000),
+                                ("var a = new int[2][5000];", 4999)):
+            result = run_job(Job("detect", f"def main() {{\n    {source}\n}}",
+                                 max_ops=max_ops))
+            assert result.status == "error"
+            assert result.error["category"] == "runtime"
+            assert result.error["message"].endswith("is too large")
+            assert (result.error["line"], result.error["column"]) == (2, 13)
+            assert "traceback" not in result.error
 
     def test_huge_integer_times_double_is_a_runtime_error(self):
         assert self._huge_fault("var y = 2.5 * x;") == \

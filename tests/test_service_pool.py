@@ -304,20 +304,32 @@ class TestPoolTelemetry:
         assert metrics["workers"]["restarts"] >= 1
         assert metrics["workers"]["crashes"] == 0
 
-    def test_phase_sample_ring_is_bounded(self):
+    def test_phase_stats_are_constant_size(self):
         from repro.service.pool import PoolStats
         from repro.service.jobs import JobResult
 
+        def sizes(stats):
+            out = {name: len(value) for name, value in vars(stats).items()
+                   if hasattr(value, "__len__")}
+            out.update({f"hist:{phase}": len(hist.counts)
+                        for phase, hist in stats.histograms.items()})
+            return out
+
         stats = PoolStats()
-        for index in range(PoolStats.MAX_PHASE_SAMPLES + 50):
-            result = JobResult("ok", "detect", f"s{index}.hj", result={},
-                               elapsed_s=0.001,
-                               timings={"detect_races": 0.001})
-            stats.record(result)
-        samples = stats.phases["detect_races"]
-        assert len(samples) == PoolStats.MAX_PHASE_SAMPLES
-        assert stats.phases_dict()["detect_races"]["count"] \
-            == PoolStats.MAX_PHASE_SAMPLES
+        for index in range(5000):
+            if index == 100:
+                early = sizes(stats)
+            seconds = 0.001 * (1 + index % 7)
+            stats.record(JobResult("ok", "detect", f"s{index}.hj",
+                                   result={}, elapsed_s=seconds,
+                                   timings={"detect_races": seconds}))
+        assert sizes(stats) == early
+        summary = stats.phases_dict()["detect_races"]
+        assert summary["count"] == 5000
+        assert summary["max_ms"] == 7.0
+        assert summary["max_ms"] >= summary["p95_ms"] >= summary["p50_ms"] > 0
+        assert summary["total_s"] == pytest.approx(
+            sum(0.001 * (1 + i % 7) for i in range(5000)))
 
 
 class TestSubmitPath:

@@ -258,6 +258,50 @@ class TestDurabilityAndIdentity:
             assert (stored.result["repaired_source"]
                     == reference.result["repaired_source"])
 
+    def test_rows_that_no_longer_validate_fail_structured(self, tmp_path):
+        """A queued row written under looser job validation fails with
+        an ``invalid-job`` result; claim moves on to the next row."""
+        import sqlite3
+
+        path = str(tmp_path / "q.db")
+        queue = JobQueue(path)
+        for n in (1, 2, 3):
+            queue.submit(make_job(n), batch_id="old")
+        db = sqlite3.connect(path)
+        with db:
+            for queue_id, bad in ((1, {"algorithm": "bogus"}),
+                                  (2, {"max_iterations": "3"})):
+                row = dict(make_job(queue_id).to_dict(), **bad)
+                db.execute("UPDATE jobs SET job_json = ? WHERE id = ?",
+                           (json.dumps(row, sort_keys=True), queue_id))
+        db.close()
+        claimed = queue.claim("n1")
+        assert claimed is not None and claimed[0] == 3
+        for queue_id, field in ((1, "algorithm"), (2, "max_iterations")):
+            assert queue.status(queue_id)["state"] == "failed"
+            stored = queue.result(queue_id)
+            assert stored.status == "error"
+            assert stored.kind == "repair"
+            assert stored.error["category"] == "invalid-job"
+            assert field in stored.error["message"]
+        assert queue.counters_snapshot()["invalid_rows"] == 2
+        assert queue.claim("n1") is None
+
+    def test_drain_cancels_rows_that_no_longer_validate(self, tmp_path):
+        import sqlite3
+
+        path = str(tmp_path / "q.db")
+        queue = JobQueue(path)
+        queue.submit(make_job(1), batch_id="old")
+        db = sqlite3.connect(path)
+        with db:
+            row = dict(make_job(1).to_dict(), processors=0)
+            db.execute("UPDATE jobs SET job_json = ? WHERE id = 1",
+                       (json.dumps(row, sort_keys=True),))
+        db.close()
+        assert queue.drain("old") == 1
+        assert queue.result(1).status == "cancelled"
+
     def test_bad_parameters_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             JobQueue(str(tmp_path / "q.db"), lease_s=0)

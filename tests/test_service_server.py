@@ -161,6 +161,20 @@ class TestHttpErrors:
         assert code == 400
         assert reply["error"].endswith("unknown job field(s): bogus")
 
+    @pytest.mark.parametrize("field,value", [
+        ("algorithm", "bogus"), ("algorithm", None),
+        ("processors", 0), ("processors", "4"),
+        ("max_ops", "x"), ("max_iterations", "3"),
+        ("strip_finishes", "yes"), ("sequential", 1),
+    ])
+    def test_malformed_job_field_is_400(self, server, field, value):
+        code, reply = self._expect_error(
+            server, "POST", "/jobs",
+            {"kind": "repair", "source": RACY, field: value})
+        assert code == 400
+        assert reply["error"].startswith("job #0: ")
+        assert field in reply["error"]
+
     def test_missing_body_is_400(self, server):
         request = urllib.request.Request(_url(server, "/jobs"), data=b"")
         with pytest.raises(urllib.error.HTTPError) as info:

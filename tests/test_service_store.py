@@ -49,20 +49,19 @@ class TestDirectoryStoreLayout:
         assert (tmp_path / "bb" / f"{KEY_B}.json").is_file()
         assert not (tmp_path / f"{KEY_A}.json").exists()
 
-    def test_legacy_flat_layout_still_readable(self, tmp_path):
-        # Stores written before sharding put every file at the root.
-        (tmp_path / f"{KEY_A}.json").write_text(json.dumps(entry("old")))
+    def test_stray_root_file_is_neither_read_nor_counted(self, tmp_path):
+        # Only <root>/<key[:2]>/<key>.json is an entry: a file at the
+        # root under a key's name is ignored, and a write leaves it be.
+        stray = tmp_path / f"{KEY_A}.json"
+        stray.write_text(json.dumps(entry("stray")))
         store = DirectoryStore(str(tmp_path))
-        assert store.read(KEY_A) == entry("old")
-        assert store.count() == 1
-
-    def test_rewrite_migrates_flat_entry_to_shard(self, tmp_path):
-        (tmp_path / f"{KEY_A}.json").write_text(json.dumps(entry("old")))
-        store = DirectoryStore(str(tmp_path))
+        assert store.read(KEY_A) is None
+        assert store.count() == 0
+        assert store.size_bytes() == 0
         store.write(KEY_A, entry("new"))
-        assert not (tmp_path / f"{KEY_A}.json").exists()
         assert store.read(KEY_A) == entry("new")
         assert store.count() == 1
+        assert stray.is_file()
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = DirectoryStore(str(tmp_path))

@@ -384,6 +384,21 @@ class TestHistogram:
         merged.merge(hist.to_dict())
         assert merged.counts == hist.counts
 
+    def test_exact_max_merges_by_max(self):
+        a, b = Histogram(), Histogram()
+        a.observe(0.003)
+        b.observe(0.0012)
+        b.observe(0.0011)
+        assert a.max_s == 0.003 and b.max_s == 0.0012
+        a.merge(b.to_dict())
+        assert a.max_s == 0.003
+        assert Histogram.from_dict(a.to_dict()).max_s == 0.003
+        # Percentiles are bucket bounds capped at the exact maximum.
+        summary = b.summary()
+        assert summary["max_ms"] == 1.2
+        assert summary["p50_ms"] == summary["p95_ms"] == 1.2
+        assert Histogram().summary()["count"] == 0
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             Histogram(bounds=())

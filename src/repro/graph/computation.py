@@ -107,7 +107,7 @@ class ComputationGraph:
     def from_dpst(cls, dpst: Dpst) -> "ComputationGraph":
         """Build the DAG by a structural walk of the tree."""
         graph = cls()
-        graph._build(dpst.root, frozenset())
+        graph._build(dpst.root)
         return graph
 
     def _add_node(self, step: DpstNode, preds) -> None:
@@ -118,44 +118,60 @@ class ComputationGraph:
         # scans and the scheduler take maxima over the list), so skip the
         # per-node sort the original build paid.
         self.preds[idx] = list(preds)
-        self.succs.setdefault(idx, [])
+        succs = self.succs
+        succs[idx] = []
         for p in preds:
-            self.succs.setdefault(p, []).append(idx)
+            succs[p].append(idx)
 
-    def _build(self, node: DpstNode, entry_preds):
-        """Process ``node``; returns ``(sync_preds, dangling)``.
+    def _build(self, root: DpstNode) -> None:
+        """Add every step under ``root``, in depth-first order.
 
-        ``sync_preds`` are the predecessors for whatever synchronous
-        computation follows the node in its parent; ``dangling`` are exit
-        steps of tasks spawned inside that have not joined yet.
+        Each interior node runs its children as a sequence that starts
+        from the node's *entry* predecessors and yields ``(sync,
+        dangling)``: ``sync`` are the predecessors of whatever synchronous
+        computation follows, ``dangling`` the exit steps of tasks spawned
+        inside that have not joined yet.  An async hands its parent the
+        entry frontier unchanged and leaves everything live inside it
+        dangling until some finish; a finish joins both; scopes (and the
+        root) are transparent.  An explicit stack of ``[node, entry, next
+        child, sync, dangling]`` frames replaces recursion, since an
+        S-DPST is as deep as the program's dynamic nesting.
         """
-        if node.kind == STEP:
-            self._add_node(node, entry_preds)
-            return frozenset((node.index,)), frozenset()
-
-        if node.kind == ASYNC:
-            sync, dangling = self._sequence(node.children, entry_preds)
-            # The parent does not wait: its own frontier is unchanged, and
-            # everything live inside the task dangles until some finish.
-            return entry_preds, sync | dangling
-
-        if node.kind == FINISH:
-            sync, dangling = self._sequence(node.children, entry_preds)
-            # Join: whatever follows waits for both the synchronous tail
-            # and every spawned task inside.
-            return sync | dangling, frozenset()
-
-        # Scope nodes (and the root) are transparent sequences.
-        return self._sequence(node.children, entry_preds)
-
-    def _sequence(self, children, entry_preds):
-        sync = entry_preds
-        dangling = frozenset()
-        for child in children:
-            child_sync, child_dangling = self._build(child, sync)
-            sync = child_sync
-            dangling = dangling | child_dangling
-        return sync, dangling
+        empty: frozenset = frozenset()
+        if root.kind == STEP:
+            self._add_node(root, empty)
+            return
+        add_node = self._add_node
+        stack = [[root, empty, 0, empty, empty]]
+        while stack:
+            frame = stack[-1]
+            node, entry, cursor, sync, dangling = frame
+            children = node.children
+            while cursor < len(children):
+                child = children[cursor]
+                cursor += 1
+                if child.kind == STEP:
+                    add_node(child, sync)
+                    sync = frozenset((child.index,))
+                    # A union re-lays out the set's table, and with it the
+                    # order later predecessor lists list it in; the
+                    # critical path breaks ties by that order, so every
+                    # child takes one union, as in a recursive build.
+                    dangling = dangling | empty
+                    continue
+                frame[2], frame[3], frame[4] = cursor, sync, dangling
+                stack.append([child, sync, 0, sync, empty])
+                break
+            else:
+                stack.pop()
+                if node.kind == ASYNC:
+                    sync, dangling = entry, sync | dangling
+                elif node.kind == FINISH:
+                    sync, dangling = sync | dangling, empty
+                if stack:
+                    parent = stack[-1]
+                    parent[3] = sync
+                    parent[4] = parent[4] | dangling
 
     # ------------------------------------------------------------------
     # Metrics

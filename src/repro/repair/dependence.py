@@ -11,7 +11,7 @@ node — we assert it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 from ..dpst.nodes import ASYNC, STEP, DpstNode
@@ -74,12 +74,6 @@ class DependenceGraph:
         self.nodes = nodes
         #: edges as 0-based (source position, sink position), source < sink
         self.edges = edges
-        # Successor index: edge sources in order, and each one's sinks.
-        succs: Dict[int, List[int]] = {}
-        for x, y in edges:
-            succs.setdefault(x, []).append(y)
-        self._sources = sorted(succs)
-        self._succs = {x: sorted(ys) for x, ys in succs.items()}
 
     @property
     def size(self) -> int:
@@ -88,19 +82,43 @@ class DependenceGraph:
     def times(self) -> List[int]:
         return [n.time for n in self.nodes]
 
-    def covered_sinks(self, i: int, k: int) -> List[int]:
-        """Sorted sinks of the edges a finish around nodes ``i..k`` covers:
-        ``{y for (x, y) in edges if i <= x <= k < y}``."""
-        sources = self._sources
-        sinks = set()
-        for pos in range(bisect_left(sources, i), bisect_right(sources, k)):
-            succ = self._succs[sources[pos]]
-            sinks.update(succ[bisect_right(succ, k):])
-        return sorted(sinks)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DependenceGraph(at={self.nslca.describe()}, "
                 f"n={self.size}, edges={len(self.edges)})")
+
+
+class EdgeCounts:
+    """2-D prefix counts over the edges ``(x, y)`` of an ``n``-node graph.
+
+    :meth:`count` answers "how many edges have ``x_lo <= x <= x_hi`` and
+    ``y_lo <= y <= y_hi``" in O(1).  VALID asks it whether a finish over
+    ``i..k`` covers an edge whose sink lies in a given run of positions
+    right of ``k``.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self, n: int, edges: Sequence[Tuple[int, int]]) -> None:
+        by_source: List[List[int]] = [[] for _ in range(n)]
+        for x, y in edges:
+            by_source[x].append(y)
+        # _table[a][b]: number of edges with x < a and y < b.
+        row = [0] * (n + 1)
+        table = [row]
+        for sinks in by_source:
+            if sinks:
+                bumps = [0] * (n + 1)
+                for y in sinks:
+                    bumps[y + 1] += 1
+                row = [c + d for c, d in zip(row, accumulate(bumps))]
+            table.append(row)
+        self._table = table
+
+    def count(self, x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> int:
+        upper = self._table[x_hi + 1]
+        lower = self._table[x_lo]
+        return (upper[y_hi + 1] - lower[y_hi + 1]
+                - upper[y_lo] + lower[y_lo])
 
 
 def group_races_by_nslca(tree: Dpst,
@@ -138,25 +156,34 @@ def build_dependence_graph(tree: Dpst, nslca: DpstNode,
         raise RepairError(f"NS-LCA {nslca.describe()} has no non-scope children")
     position_of = {child.index: pos for pos, child in enumerate(children)}
 
-    # Raw edges over child positions.
+    # Raw edges over child positions.  A step races with many partners, so
+    # each distinct step is mapped to its non-scope child once.
+    child_pos: Dict[DpstNode, int] = {}
+    known = child_pos.get
     raw_edges = set()
     for source, sink in step_pairs:
-        src_child = tree.non_scope_child_toward(nslca, source)
-        sink_child = tree.non_scope_child_toward(nslca, sink)
-        if src_child is sink_child:
+        src_pos = known(source)
+        if src_pos is None:
+            src_pos = child_pos[source] = position_of[
+                tree.non_scope_child_toward(nslca, source).index]
+        sink_pos = known(sink)
+        if sink_pos is None:
+            sink_pos = child_pos[sink] = position_of[
+                tree.non_scope_child_toward(nslca, sink).index]
+        raw_edges.add((src_pos, sink_pos))
+    for src_pos, sink_pos in raw_edges:
+        if src_pos == sink_pos:
             raise RepairError(
                 "race endpoints map to the same non-scope child "
-                f"{src_child.describe()} — NS-LCA grouping is inconsistent")
-        src_pos = position_of[src_child.index]
-        sink_pos = position_of[sink_child.index]
+                f"{children[src_pos].describe()} — NS-LCA grouping is "
+                "inconsistent")
         if src_pos > sink_pos:
             raise RepairError(
                 "race edge goes right-to-left; step pair order is broken")
-        if src_child.kind != ASYNC:
+        if children[src_pos].kind != ASYNC:
             raise RepairError(
-                f"race source child {src_child.describe()} is not an async "
-                "node, contradicting Theorem 1")
-        raw_edges.add((src_pos, sink_pos))
+                f"race source child {children[src_pos].describe()} is not "
+                "an async node, contradicting Theorem 1")
 
     # Coalesce consecutive step children with identical incoming sources.
     sources_of: Dict[int, frozenset] = {}
@@ -165,18 +192,21 @@ def build_dependence_graph(tree: Dpst, nslca: DpstNode,
             | {src_pos}
     nodes: List[DepNode] = []
     group_of_child: List[int] = []
+    no_sources = frozenset()
+    previous = no_sources  # incoming sources of the child before
     for pos, child in enumerate(children):
-        time = span_parts(child, span_cache)[1]
-        incoming = sources_of.get(pos, frozenset())
-        if (coalesce and nodes and child.kind == STEP
-                and nodes[-1].last.kind == STEP
-                and sources_of.get(position_of[nodes[-1].last.index],
-                                   frozenset()) == incoming):
+        is_step = child.kind == STEP
+        # A step's span is its own cost.
+        time = child.cost if is_step else span_parts(child, span_cache)[1]
+        incoming = sources_of.get(pos, no_sources)
+        if (coalesce and nodes and is_step
+                and nodes[-1].last.kind == STEP and previous == incoming):
             nodes[-1].last = child
             nodes[-1].time += time
         else:
             nodes.append(DepNode(child, child, len(nodes), time))
         group_of_child.append(len(nodes) - 1)
+        previous = incoming
 
     edges = sorted({(group_of_child[x], group_of_child[y])
                     for x, y in raw_edges})

@@ -237,7 +237,8 @@ class RepairEngine:
                     return RepairResult(program, work, iterations, detection,
                                         converged=True,
                                         replay_fallbacks=fallbacks)
-                pair_count = len(detection.report.distinct_step_pairs())
+                step_pairs = self._step_pairs(detection)
+                pair_count = len(step_pairs)
                 if previous_pairs is not None \
                         and pair_count >= previous_pairs:
                     stalled += 1
@@ -253,7 +254,6 @@ class RepairEngine:
                 previous_pairs = pair_count
                 start = time.perf_counter()
                 with telemetry.span("placement", index=iteration):
-                    step_pairs = self._step_pairs(detection)
                     placements, edits = self._compute_placements(
                         work, detection, step_pairs)
                     if not edits:
@@ -346,8 +346,7 @@ class RepairEngine:
             is_async = [n.is_async for n in graph.nodes]
 
             def valid(i: int, k: int, _g=graph, _n=nslca) -> bool:
-                return finder.valid(_n, _g.nodes, i, k,
-                                    _g.covered_sinks(i, k))
+                return finder.valid(_n, _g.nodes, i, k, _g.edges)
 
             solution = solve_placement(graph.times(), is_async,
                                        graph.edges, valid)
@@ -360,8 +359,7 @@ class RepairEngine:
                 nslca.index, graph.size, len(graph.edges),
                 solution.cost, solution.finishes))
             for s, e in solution.finishes:
-                point = finder.find(nslca, graph.nodes, s, e,
-                                    graph.covered_sinks(s, e))
+                point = finder.find(nslca, graph.nodes, s, e, graph.edges)
                 if point is None:  # pragma: no cover - valid() guarantees it
                     raise RepairError(
                         f"placement ({s}, {e}) at {nslca.describe()} has no "
@@ -471,8 +469,12 @@ def _region_covers(block_parents: Dict[int, Tuple[int, int]],
 def _regions_nested(block_parents: Dict[int, Tuple[int, int]],
                     a: Tuple[int, int, int],
                     b: Tuple[int, int, int]) -> bool:
-    """True if one region is inside the other (including same-block
-    overlap, which the span merge would otherwise widen blindly)."""
+    """True if one region is textually inside the other.
+
+    Two regions of one block that only partly overlap are *not* nested:
+    both edits are accepted, and :func:`_merge_spans` widens them into a
+    single finish over their union.
+    """
     return (_region_covers(block_parents, a, b)
             or _region_covers(block_parents, b, a))
 

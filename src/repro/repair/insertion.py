@@ -15,15 +15,20 @@ iterations 3..5 of a loop but not iteration 6.  In that case the search
 descends into the iteration scope (yielding a finish *inside* the loop
 body, which statically applies to every iteration — strictly more
 synchronization, never less, so repairs stay sound).
+
+The DP asks VALID about O(n^2) ranges per NS-LCA, so the search reads
+index tables built once per dependence graph instead of walking the
+S-DPST for every query (DESIGN.md §5, "VALID by table lookup").
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dpst.nodes import ASYNC, FINISH, SCOPE, STEP, DpstNode
+from ..dpst.nodes import SCOPE, STEP, DpstNode
 from ..errors import RepairError
-from .dependence import DepNode
+from .dependence import DepNode, EdgeCounts
 
 #: Maps a statement id to (block id, index within the block); built by the
 #: engine from the current program and threaded through the search.
@@ -97,20 +102,6 @@ class InsertionPoint:
 # Small structural helpers
 # ----------------------------------------------------------------------
 
-def child_toward(parent: DpstNode, target: DpstNode) -> DpstNode:
-    """The direct child of ``parent`` whose subtree contains ``target``."""
-    node = target
-    prev = None
-    while node is not None and node is not parent:
-        prev = node
-        node = node.parent
-    if node is None or prev is None:
-        raise RepairError(
-            f"{parent.describe()} is not a proper ancestor of "
-            f"{target.describe()}")
-    return prev
-
-
 def first_anchor(node: DpstNode) -> Optional[int]:
     """First AST statement (in the parent block) this child covers."""
     if node.kind == STEP:
@@ -125,20 +116,6 @@ def last_anchor(node: DpstNode) -> Optional[int]:
     return node.anchor_nid
 
 
-def has_parallel_construct(node: DpstNode,
-                           cache: Dict[int, bool]) -> bool:
-    """True if the subtree contains any async or finish node."""
-    cached = cache.get(node.index)
-    if cached is not None:
-        return cached
-    if node.kind in (ASYNC, FINISH):
-        result = True
-    else:
-        result = any(has_parallel_construct(c, cache) for c in node.children)
-    cache[node.index] = result
-    return result
-
-
 # ----------------------------------------------------------------------
 # The search
 # ----------------------------------------------------------------------
@@ -146,250 +123,395 @@ def has_parallel_construct(node: DpstNode,
 class InsertionFinder:
     """Resolves dynamic finish placements to insertion points.
 
-    One finder is built per (program snapshot, S-DPST); it memoizes the
-    async-containment cache across queries, which the DP's VALID check
-    issues O(n^2) times per NS-LCA.
+    One finder is built per (program snapshot, S-DPST).  It answers the
+    DP's O(n^2) VALID queries per NS-LCA from index tables built once per
+    dependence graph (:class:`_GraphTables`).
     """
 
     def __init__(self, stmt_positions: StmtPositions,
                  scope_table: Optional[ScopeTable] = None) -> None:
         self.stmt_positions = stmt_positions
         self.scope_table = scope_table if scope_table is not None else {}
-        self._parallel_cache: Dict[int, bool] = {}
-        # Sinks the current query must keep outside the wrap (set per
-        # find() call; DepNode list).
-        self._forbidden: List[DepNode] = []
-
-    def _contains_forbidden(self, child: DpstNode) -> bool:
-        """Does this child's subtree hold any to-be-ordered race sink?"""
-        for node in self._forbidden:
-            if child.is_ancestor_of(node.first) \
-                    or child.is_ancestor_of(node.last):
-                return True
-        return False
+        # Tables of the dependence graph queried last: the engine asks
+        # every question about one graph before it moves to the next.
+        self._tables: Optional[_GraphTables] = None
 
     # -- public API ----------------------------------------------------
 
     def find(self, nslca: DpstNode, dep_nodes: Sequence[DepNode],
              i: int, j: int,
-             sink_positions: Sequence[int] = ()) -> Optional[InsertionPoint]:
+             edges: Sequence[Tuple[int, int]] = ()
+             ) -> Optional[InsertionPoint]:
         """Insertion point for a finish over dep nodes ``i..j`` (inclusive),
         excluding neighbours ``i-1`` and ``j+1``; None if impossible.
 
-        ``sink_positions`` are the dependence-graph positions of the race
-        sinks this finish must order after its join (the sinks of the
-        edges the placement covers).  The static mapping may widen the
-        wrap over harmless synchronous material, but never over a sink —
-        a sink textually inside the finish would stay unordered with the
-        wrapped sources, un-fixing the race.
+        ``edges`` are the dependence graph's race edges.  The sinks of the
+        edges the finish covers (``i <= x <= j < y``) must be ordered
+        after its join: the static mapping may widen the wrap over
+        harmless synchronous material, but never over such a sink — a
+        sink textually inside the finish would stay unordered with the
+        wrapped sources, un-fixing the race.  Without ``edges`` no sink
+        is forbidden.
+
+        Pass the graph's own ``dep_nodes`` and ``edges`` lists to every
+        query about it: the finder keys its tables on those objects,
+        building them on the first query about a graph and again whenever
+        a query passes a different list.
         """
-        target_lo = dep_nodes[i].first
-        target_hi = dep_nodes[j].last
-        left = dep_nodes[i - 1].last if i > 0 else None
-        right = dep_nodes[j + 1].first if j + 1 < len(dep_nodes) else None
-        self._forbidden = [dep_nodes[p] for p in sink_positions]
+        tables = self._tables
+        if tables is None or tables.dep_nodes is not dep_nodes \
+                or tables.nslca is not nslca:
+            tables = self._tables = _GraphTables(
+                self.stmt_positions, self.scope_table, nslca, dep_nodes)
+        if edges is not tables.edges:
+            tables.edges = edges
+            tables.counts = EdgeCounts(len(dep_nodes), edges) \
+                if edges else None
+        counts = tables.counts
+        # Top down from the NS-LCA: the highest level at which the wrap
+        # passes the edge checks and maps to statements.
+        lo_path, lo_bound = tables.lo_sides[i]
+        hi_path, reach, hi_bound = tables.hi_sides[j]
         parent = nslca
+        level = 0
         while True:
-            lo_child = child_toward(parent, target_lo)
-            hi_child = child_toward(parent, target_hi)
+            lo_child = lo_path[level]
+            hi_child = hi_path[level]
+            edges_ok = lo_child.index > lo_bound \
+                and reach[level] < hi_bound and (
+                    reach[level] <= j or counts is None
+                    or not counts.count(i, j, j + 1, reach[level]))
             if lo_child is not hi_child:
-                if not self._left_edge_ok(lo_child, target_lo, left):
+                if not edges_ok:
                     return None
-                if not self._right_edge_ok(hi_child, target_hi, right):
-                    return None
-                return self._static_point(parent, lo_child, hi_child)
+                return tables.static_point(parent, lo_child, hi_child, i, j)
             # The whole run lives under one child; try wrapping that child
             # alone at this (highest remaining) level, else descend.
-            child = lo_child
-            dynamic_ok = (self._left_edge_ok(child, target_lo, left)
-                          and self._right_edge_ok(child, target_hi, right))
-            if dynamic_ok:
-                point = self._static_point(parent, child, child)
+            if edges_ok:
+                point = tables.static_point(parent, lo_child, lo_child, i, j)
                 if point is not None:
                     return point
-            if child.kind != SCOPE:
+            if lo_child.kind != SCOPE:
                 return None
-            parent = child
-
-    def _left_edge_ok(self, lo_child: DpstNode, target_lo: DpstNode,
-                      left: Optional[DpstNode]) -> bool:
-        """May a finish start at ``lo_child`` given the excluded ``left``?
-
-        If the excluded left neighbour lives inside ``lo_child`` (common
-        when a loop body computes something — e.g. copies the loop
-        variable — before spawning its async), the wrap unavoidably
-        swallows that prefix.  Swallowing a *purely synchronous* prefix is
-        sound: it cannot be a race source (sources are asyncs) and, being
-        left of every covered source, cannot be a covered sink either.  A
-        prefix containing an async would get joined too, changing the
-        placement's parallelism, so that is rejected.
-        """
-        if left is None or not lo_child.is_ancestor_of(left):
-            return True
-        return self._prefix_async_free(lo_child, target_lo)
-
-    def _prefix_async_free(self, ancestor: DpstNode,
-                           target: DpstNode) -> bool:
-        """True if nothing before ``target`` inside ``ancestor``'s subtree
-        contains an async or finish node."""
-        node = target
-        while node is not ancestor:
-            parent = node.parent
-            if parent is None:
-                raise RepairError("target is not inside the child subtree")
-            for sibling in parent.children:
-                if sibling is node:
-                    break
-                if has_parallel_construct(sibling, self._parallel_cache):
-                    return False
-            node = parent
-        return True
-
-    def _right_edge_ok(self, hi_child: DpstNode, target_hi: DpstNode,
-                       right: Optional[DpstNode]) -> bool:
-        """May a finish end at ``hi_child`` given the excluded ``right``?
-
-        The mirror of :meth:`_left_edge_ok`, with one extra constraint:
-        the swallowed suffix additionally must not contain any of the
-        race sinks this placement covers (a suffix is *after* the wrapped
-        sources, so unlike the prefix it genuinely can hold one).
-        """
-        if right is None or not hi_child.is_ancestor_of(right):
-            return True
-        node = target_hi
-        while node is not hi_child:
-            parent = node.parent
-            if parent is None:
-                raise RepairError("target is not inside the child subtree")
-            passed = False
-            for sibling in parent.children:
-                if passed:
-                    if has_parallel_construct(sibling, self._parallel_cache):
-                        return False
-                    if self._contains_forbidden(sibling):
-                        return False
-                elif sibling is node:
-                    passed = True
-            node = parent
-        return True
+            parent = lo_child
+            level += 1
 
     def valid(self, nslca: DpstNode, dep_nodes: Sequence[DepNode],
-              i: int, j: int, sink_positions: Sequence[int] = ()) -> bool:
+              i: int, j: int, edges: Sequence[Tuple[int, int]] = ()) -> bool:
         """VALID(i, j): a finish can enclose dep nodes i..j and nothing of
         i-1 / j+1 — structurally in the S-DPST *and* in the source."""
-        return self.find(nslca, dep_nodes, i, j, sink_positions) is not None
+        return self.find(nslca, dep_nodes, i, j, edges) is not None
 
-    # -- internals -----------------------------------------------------
 
-    def _static_point(self, parent: DpstNode, lo_child: DpstNode,
-                      hi_child: DpstNode) -> Optional[InsertionPoint]:
+def last_capture(scope_table: ScopeTable, block_nid: int, hi: int) -> int:
+    """The last statement index ``<= hi`` of the block that declares a name
+    referenced after ``hi``, or -1.
+
+    A finish wrapped around statements ``lo..hi`` of a block is lexically
+    well-formed only if no name declared inside the range is referenced
+    after ``hi``: exactly when ``lo`` lies right of this statement.
+    """
+    entry = scope_table.get(block_nid)
+    if entry is not None:
+        decls, suffix_refs = entry
+        after = suffix_refs[hi + 1]
+        for idx in range(hi, -1, -1):
+            if decls[idx] & after:
+                return idx
+    return -1
+
+
+class _GraphTables:
+    """Index tables answering VALID and FIND for one dependence graph.
+
+    The *region* of the NS-LCA is the NS-LCA itself, the scope nodes
+    reachable from it through scopes only, and their non-scope children:
+    the S-DPST children the graph's nodes stand for.  Every node the
+    search visits or scans is a region node.  S-DPST indices are preorder
+    numbers, so a region node's subtree holds exactly the region nodes
+    whose index lies between its own and its *region end* (the last
+    node on its rightmost chain of scopes).  Every structural question
+    then becomes a range query over sorted lists of indices:
+
+    * a subtree holds an async or finish iff it holds one of the graph's
+      async or finish children (those are never coalesced);
+    * a subtree's *run* is the range of dependence positions whose first
+      or last S-DPST child it holds.  The run is contiguous, so "it holds
+      a sink of an edge the finish over ``i..k`` covers" is "some edge
+      ``(x, y)`` has ``i <= x <= k`` and ``y`` in the run": one
+      :class:`EdgeCounts` lookup.
+
+    A query's two *sides* are tabulated per position (:meth:`_sides`), so
+    the edge checks at a level are comparisons against bounds.  Each end
+    of a static wrap is memoized per boundary child.  DESIGN.md §5
+    ("VALID by table lookup") proves the reductions.
+    """
+
+    def __init__(self, stmt_positions: StmtPositions,
+                 scope_table: ScopeTable, nslca: DpstNode,
+                 dep_nodes: Sequence[DepNode]) -> None:
+        self.stmt_positions = stmt_positions
+        self.scope_table = scope_table
+        self.nslca = nslca
+        self.dep_nodes = dep_nodes
+        #: preorder index of each dependence node's first / last child
+        self.firsts = [dep.first.index for dep in dep_nodes]
+        self.lasts = [dep.last.index for dep in dep_nodes]
+        #: preorder indices of the async and finish children
+        self.parallel_index = [dep.first.index for dep in dep_nodes
+                               if dep.first.kind != STEP]
+        #: the edges of the current queries, and their counts
+        self.edges: Sequence[Tuple[int, int]] = ()
+        self.counts: Optional[EdgeCounts] = None
+        self._region_ends: Dict[DpstNode, int] = {}
+        self._sides(dep_nodes)
+        # boundary child of a wrap -> its end of the wrap, or False
+        self._starts: Dict[DpstNode, object] = {}
+        self._ends: Dict[DpstNode, object] = {}
+
+    def _sides(self, dep_nodes: Sequence[DepNode]) -> None:
+        """Both sides of every position, in one sweep each way.
+
+        ``lo_sides[i]`` is the path down to ``dep[i].first`` and the index
+        of the last async or finish child before it (-1 if none).  A
+        finish may start at a level's child unless the excluded left
+        neighbour lives inside it *and* so does an async or finish before
+        ``dep[i].first``.  (If the neighbour lives inside the child —
+        common when a loop body copies the loop variable before spawning
+        its async — the wrap unavoidably swallows that prefix.
+        Swallowing a *purely synchronous* prefix is sound: it cannot be a
+        race source, and being left of every covered source, it cannot
+        be a covered sink either.  A prefix containing an async would get
+        joined too, changing the placement's parallelism.)  The neighbour
+        is at or after the last async/finish before ``i``, so the level's
+        child passes exactly when it starts after that async/finish.
+
+        ``hi_sides[k]`` is the path down to ``dep[k].last``, per level the
+        last position whose first child the level's child holds, and the
+        first async or finish position after ``k`` (``n`` if none).  A
+        recorded position ``p > k`` means the excluded right neighbour
+        ``dep[k+1].first`` lives inside the child and the wrap swallows
+        positions ``k+1..p``: they must hold no async or finish, and no
+        sink of an edge the placement covers (checked per query; a
+        suffix is *after* the wrapped sources, so unlike the prefix it
+        genuinely can hold one).
+        """
+        paths = [self.path(dep.first) for dep in dep_nodes]
+        holds: Dict[DpstNode, int] = {}
+        for p, chain in enumerate(paths):
+            for node in chain:
+                holds[node] = p
+        #: per i: (path, index of the last async/finish child before it)
+        self.lo_sides: List[Tuple[List[DpstNode], int]] = []
+        before = -1
+        for p, dep in enumerate(dep_nodes):
+            self.lo_sides.append((paths[p], before))
+            if dep.first.kind != STEP:
+                before = dep.first.index
+        #: per k: (path, last position held per level, first async/finish
+        #: position after k)
+        self.hi_sides: List[tuple] = [()] * len(dep_nodes)
+        after = len(dep_nodes)
+        for k in range(len(dep_nodes) - 1, -1, -1):
+            dep = dep_nodes[k]
+            chain = paths[k] if dep.last is dep.first \
+                else self.path(dep.last)
+            self.hi_sides[k] = (chain, [holds.get(node, -1)
+                                        for node in chain], after)
+            if dep.first.kind != STEP:
+                after = k
+
+    # -- range queries over preorder indices ---------------------------
+
+    def region_end(self, node: DpstNode) -> int:
+        """The largest preorder index of a region node in ``node``'s
+        subtree (``node`` itself when it is not a scope)."""
+        ends = self._region_ends
+        end = ends.get(node)
+        if end is None:
+            spine = []
+            while node.kind == SCOPE and node.children:
+                spine.append(node)
+                node = node.children[-1]
+                end = ends.get(node)
+                if end is not None:
+                    break
+            else:
+                end = node.index
+            for scope in spine:
+                ends[scope] = end
+        return end
+
+    def holds_parallel(self, lo: int, hi: int) -> bool:
+        """Is a region node indexed ``lo..hi`` an async or finish?  Those
+        are never coalesced: each is the only child of its position."""
+        index = self.parallel_index
+        return bisect_left(index, lo) < bisect_right(index, hi)
+
+    def run(self, lo: int, hi: int) -> Optional[Tuple[int, int]]:
+        """Dependence positions whose first or last child is indexed
+        ``lo..hi``, as an inclusive range, or None."""
+        firsts = self.firsts
+        lasts = self.lasts
+        a = bisect_left(firsts, lo)
+        b = bisect_right(firsts, hi) - 1
+        c = bisect_left(lasts, lo)
+        d = bisect_right(lasts, hi) - 1
+        if a > b:
+            return (c, d) if c <= d else None
+        if c > d:
+            return (a, b)
+        return (min(a, c), max(b, d))
+
+    def path(self, target: DpstNode) -> List[DpstNode]:
+        """The nodes on the way down from the NS-LCA to ``target``, the
+        NS-LCA excluded and ``target`` included."""
+        chain = []
+        node: Optional[DpstNode] = target
+        while node is not self.nslca:
+            if node is None:
+                raise RepairError(
+                    f"{self.nslca.describe()} is not a proper ancestor "
+                    f"of {target.describe()}")
+            chain.append(node)
+            node = node.parent
+        chain.reverse()
+        return chain
+
+    # -- wrap ends, memoized per boundary child ------------------------
+
+    def block_index(self, parent: DpstNode,
+                    anchor: Optional[int]) -> Optional[int]:
+        """The index of statement ``anchor`` in ``parent``'s block, or
+        None where it is not one of that block's statements."""
+        pos = self.stmt_positions.get(anchor) if anchor is not None \
+            else None
+        return pos[1] if pos is not None and pos[0] == parent.block_nid \
+            else None
+
+    def start(self, parent: DpstNode, child: DpstNode):
+        """The leading end of a wrap starting at ``child``: ``(statement
+        id, index in the block, index in parent)``, or False.
+
+        Earlier siblings whose statements reach into the wrap are dragged
+        in; they must be synchronous.  They hold no covered sink, since
+        every covered sink is right of ``k``.
+        """
+        result = False
+        if parent.block_nid is not None:
+            children = parent.children
+            a = children.index(child)
+            lo = self.block_index(parent, first_anchor(child))
+            if lo is not None:
+                stop = a - 1
+                last = None
+                while stop >= 0:
+                    last = self.block_index(parent,
+                                            last_anchor(children[stop]))
+                    if last is None or last < lo:
+                        break
+                    stop -= 1
+                if (stop < 0 or last is not None) and (
+                        stop == a - 1 or not self.holds_parallel(
+                            children[stop + 1].index,
+                            self.region_end(children[a - 1]))):
+                    result = (first_anchor(child), lo, a)
+        self._starts[child] = result
+        return result
+
+    def end(self, parent: DpstNode, child: DpstNode):
+        """The trailing end of a wrap ending at ``child``: ``(statement
+        id, index in the block, index in parent, last capturing
+        statement, runs)``, or False.
+
+        Statement anchors of siblings are non-decreasing, so the later
+        siblings are scanned until one starts past the wrap's last
+        statement; the ones before it are dragged in, and any of them
+        holding a parallel construct rejects the wrap.  A sibling whose
+        whole anchor range falls inside the wrap is *fully* swallowed —
+        its computation (possibly a race sink, e.g. another loop
+        iteration or the body of a call whose argument evaluation ended
+        the wrap) moves inside the finish, so ``runs`` lists the
+        dependence positions such siblings hold; a query rejects the wrap
+        if one of them is a covered sink.  A sibling merely *sharing* the
+        boundary statement (a loop's final condition evaluation) only
+        contributes that statement's trailing fragment and is tolerated.
+        """
+        result = False
+        if parent.block_nid is not None:
+            children = parent.children
+            b = children.index(child)
+            hi = self.block_index(parent, last_anchor(child))
+            if hi is not None:
+                count = len(children)
+                stop = b + 1
+                first = None
+                while stop < count:
+                    first = self.block_index(parent,
+                                             first_anchor(children[stop]))
+                    if first is None or first > hi:
+                        break
+                    stop += 1
+                if (stop == count or first is not None) and (
+                        stop == b + 1 or not self.holds_parallel(
+                            children[b + 1].index,
+                            self.region_end(children[stop - 1]))):
+                    result = (last_anchor(child), hi, b,
+                              last_capture(self.scope_table,
+                                           parent.block_nid, hi),
+                              self._swallowed(parent, b + 1, stop, hi))
+        self._ends[child] = result
+        return result
+
+    def _swallowed(self, parent: DpstNode, begin: int, stop: int,
+                   hi: int) -> List[Tuple[int, int]]:
+        """The runs of the siblings ``begin..stop-1`` whose last statement
+        is at most ``hi``: one range query per consecutive group."""
+        children = parent.children
+        runs: List[Tuple[int, int]] = []
+        group = -1
+        for idx in range(begin, stop + 1):
+            last = self.block_index(parent, last_anchor(children[idx])) \
+                if idx < stop else None
+            if last is not None and last <= hi:
+                if group < 0:
+                    group = idx
+            elif group >= 0:
+                run = self.run(children[group].index,
+                               self.region_end(children[idx - 1]))
+                if run is not None:
+                    runs.append(run)
+                group = -1
+        return runs
+
+    # -- per-query checks ----------------------------------------------
+
+    def static_point(self, parent: DpstNode, lo_child: DpstNode,
+                     hi_child: DpstNode, i: int, k: int
+                     ) -> Optional[InsertionPoint]:
         """Map a child run of ``parent`` to a statement range, checking the
         excluded neighbours don't share wrapped statements."""
-        if parent.block_nid is None:
+        start = self._starts.get(lo_child)
+        if start is None:
+            start = self.start(parent, lo_child)
+        if not start:
             return None
-        children = parent.children
-        a = children.index(lo_child)
-        b = children.index(hi_child)
-        start_stmt = first_anchor(lo_child)
-        end_stmt = last_anchor(hi_child)
-        if start_stmt is None or end_stmt is None:
+        end = self._ends.get(hi_child)
+        if end is None:
+            end = self.end(parent, hi_child)
+        if not end:
             return None
-        start_pos = self.stmt_positions.get(start_stmt)
-        end_pos = self.stmt_positions.get(end_stmt)
-        if start_pos is None or end_pos is None:
+        start_stmt, lo, a = start
+        end_stmt, hi, b, capture, runs = end
+        if lo <= capture:
             return None
-        if (start_pos[0] != parent.block_nid
-                or end_pos[0] != parent.block_nid):
-            # Anchors must be direct statements of the parent's block; a
-            # mismatch means the placement is stale for this program copy.
-            return None
-        if not self._clear_after(children, b, parent.block_nid, end_pos[1]):
-            return None
-        if not self._clear_before(children, a, parent.block_nid,
-                                  start_pos[1]):
-            return None
-        if not self._declarations_stay_visible(parent.block_nid,
-                                               start_pos[1], end_pos[1]):
-            return None
+        counts = self.counts
+        if counts is not None:
+            for run_lo, run_hi in runs:
+                if counts.count(i, k, run_lo, run_hi):
+                    return None
         return InsertionPoint(parent, a, b, parent.block_nid,
                               start_stmt, end_stmt)
-
-    def _anchor_pos(self, anchor: Optional[int], block_nid: int
-                    ) -> Optional[int]:
-        if anchor is None:
-            return None
-        pos = self.stmt_positions.get(anchor)
-        if pos is None or pos[0] != block_nid:
-            return None
-        return pos[1]
-
-    def _clear_after(self, children: List[DpstNode], b: int,
-                     block_nid: int, hi: int) -> bool:
-        """No child after the run may be textually dragged into the wrap.
-
-        Statement anchors of siblings are non-decreasing, so we scan right
-        from ``b`` until a child starts past the wrap's last statement.  A
-        child whose whole anchor range falls inside the wrap would be
-        *fully* swallowed — its computation (possibly a race sink, e.g.
-        another loop iteration or the body of a call whose argument
-        evaluation ended the wrap) would move inside the finish, so the
-        placement is rejected.  A child merely *sharing* the boundary
-        statement (a loop's final condition evaluation) is tolerated when
-        it contains no parallel construct.
-        """
-        for idx in range(b + 1, len(children)):
-            child = children[idx]
-            first = self._anchor_pos(first_anchor(child), block_nid)
-            if first is None:
-                return False  # inconsistent anchors: be conservative
-            if first > hi:
-                return True
-            # The child is textually dragged (at least partly) into the
-            # wrap.  That is harmless synchronous material unless it
-            # contains a parallel construct or — when the child is wholly
-            # inside the wrapped statements — one of the race sinks this
-            # very finish is supposed to order after its join.  A child
-            # merely sharing the boundary statement only contributes that
-            # statement's trailing fragment (e.g. a loop's final condition
-            # evaluation); its later statements stay outside the finish.
-            if has_parallel_construct(child, self._parallel_cache):
-                return False
-            last = self._anchor_pos(last_anchor(child), block_nid)
-            fully_inside = last is not None and last <= hi
-            if fully_inside and self._contains_forbidden(child):
-                return False
-        return True
-
-    def _clear_before(self, children: List[DpstNode], a: int,
-                      block_nid: int, lo: int) -> bool:
-        """Mirror of :meth:`_clear_after` for the leading edge."""
-        for idx in range(a - 1, -1, -1):
-            child = children[idx]
-            last = self._anchor_pos(last_anchor(child), block_nid)
-            if last is None:
-                return False
-            if last < lo:
-                return True
-            if has_parallel_construct(child, self._parallel_cache):
-                return False
-            first = self._anchor_pos(first_anchor(child), block_nid)
-            fully_inside = first is not None and first >= lo
-            if fully_inside and self._contains_forbidden(child):
-                return False
-        return True
-
-    def _declarations_stay_visible(self, block_nid: int, lo: int,
-                                   hi: int) -> bool:
-        """Reject wraps that capture a declaration used after the range."""
-        entry = self.scope_table.get(block_nid)
-        if entry is None:
-            return True
-        decls, suffix_refs = entry
-        declared = frozenset().union(*decls[lo:hi + 1]) if hi >= lo \
-            else frozenset()
-        if not declared:
-            return True
-        return not (declared & suffix_refs[hi + 1])
 
 
 def valid_algorithm2(nodes: Sequence[DepNode], i: int, j: int) -> bool:

@@ -40,6 +40,8 @@ from .env import Environment
 from .interpreter import (
     _CHECK_INTERVAL,
     ARITHMETIC_ERRORS,
+    CALL_DEPTH_MESSAGE,
+    MAX_CALL_DEPTH,
     ExecutionObserver,
     ExecutionResult,
     StepLimitExceeded,
@@ -65,9 +67,9 @@ StmtFn = Callable[[Environment], None]
 class CompiledEngine:
     """Compiles a program to closures and executes it once.
 
-    Mutable run state lives in the 3-slot list ``self._st`` —
-    ``[ops, pending_cost, next_limit_check]`` — which every closure
-    captures directly, so the hot tick/flush paths are plain list
+    Mutable run state lives in the 4-slot list ``self._st`` —
+    ``[ops, pending_cost, next_limit_check, call_depth]`` — which every
+    closure captures directly, so the hot tick/flush paths are plain list
     arithmetic instead of attribute access and method calls.
     """
 
@@ -82,9 +84,10 @@ class CompiledEngine:
         self.globals_env = globals_env if globals_env is not None \
             else Environment()
         self.max_ops = max_ops
-        # [ops, pending_cost, next_check]; see Interpreter._tick for the
-        # clamped-boundary budget check this mirrors.
-        self._st = [0, 0, min(_CHECK_INTERVAL, max_ops + 1)]
+        # [ops, pending_cost, next_check, call_depth]; see
+        # Interpreter._tick for the clamped-boundary budget check this
+        # mirrors.
+        self._st = [0, 0, min(_CHECK_INTERVAL, max_ops + 1), 0]
         # Per-function compiled callables.  A cell (1-element list) per
         # function breaks compile-time recursion: call sites capture the
         # cell and do ``cell[0](args, node)`` at run time.
@@ -181,6 +184,9 @@ class CompiledEngine:
         body_nid = func.body.nid
 
         def call(call_args: List[Any], call_node: ast.Node) -> Any:
+            if st[3] >= MAX_CALL_DEPTH:
+                raise RuntimeFault(CALL_DEPTH_MESSAGE, call_node.line,
+                                   call_node.col)
             frame = Environment(globals_env)
             bindings = frame.bindings
             for name, value in zip(param_names, call_args):
@@ -193,12 +199,14 @@ class CompiledEngine:
                 add_cost(st[1])
                 st[1] = 0
             enter_scope("call", func_nid, body_nid)
+            st[3] += 1
             try:
                 body_fn(frame)
                 return None
             except _ReturnSignal as signal:
                 return signal.value
             finally:
+                st[3] -= 1
                 if st[1]:
                     add_cost(st[1])
                     st[1] = 0

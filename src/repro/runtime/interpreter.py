@@ -30,7 +30,8 @@ Two execution engines share this contract:
 from __future__ import annotations
 
 import sys
-from typing import Any, List, Optional, Sequence
+import threading
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..errors import RuntimeFault, StepLimitExceeded
 from ..lang import ast
@@ -40,6 +41,15 @@ from .values import ArrayValue, StructValue, default_fill, to_display
 
 #: The engines an :class:`Interpreter` can run on (module docstring).
 _ENGINES = ("compiled", "tree")
+
+#: The deepest chain of active calls a run may build, ``main`` included.
+#: Both engines count calls and fault at the same call.  A simple
+#: recursion costs either engine about eight Python frames per call, so
+#: the limit binds well before the raised Python recursion limit does.
+MAX_CALL_DEPTH = 5000
+
+#: The runtime fault of a run whose calls nest too deeply to execute.
+CALL_DEPTH_MESSAGE = "maximum call depth exceeded (recursion too deep)"
 
 
 class ExecutionObserver:
@@ -293,6 +303,41 @@ def check_array_length(length: Any, max_ops: int, line: int,
     return length
 
 
+#: CPython before 3.11 runs every Python call on the C stack, and a
+#: recursion as deep as :attr:`Interpreter._RECURSION_LIMIT` overflows the
+#: default 8 MB thread stack (a crash, not a ``RecursionError``).  There a
+#: run gets a thread of its own whose stack holds that many frames.
+_OWN_STACK = sys.version_info < (3, 11)
+_OWN_STACK_BYTES = 256 * 1024 * 1024
+_own_stack_lock = threading.Lock()
+
+
+def on_own_stack(function: Callable[..., Any], *args: Any) -> Any:
+    """``function(*args)``, called on a new thread with a
+    ``_OWN_STACK_BYTES`` stack; its exception, if any, is re-raised here."""
+    result: List[Any] = [None]
+    error: List[BaseException] = []
+
+    def target() -> None:
+        try:
+            result[0] = function(*args)
+        except BaseException as exc:  # re-raised in the calling thread
+            error.append(exc)
+
+    # threading.stack_size is process-wide: set it just for this thread.
+    with _own_stack_lock:
+        previous = threading.stack_size(_OWN_STACK_BYTES)
+        try:
+            thread = threading.Thread(target=target, daemon=True)
+            thread.start()
+        finally:
+            threading.stack_size(previous)
+    thread.join()
+    if error:
+        raise error[0]
+    return result[0]
+
+
 class Interpreter:
     """Executes a mini-HJ program sequentially, reporting to an observer."""
 
@@ -321,6 +366,7 @@ class Interpreter:
         self.max_ops = max_ops
         self.ops = 0
         self._pending_cost = 0
+        self._call_depth = 0
         # Next op count at which the step budget is re-checked: every
         # _CHECK_INTERVAL ops, clamped so the budget itself is never
         # overshot by more than one op.
@@ -339,14 +385,22 @@ class Interpreter:
         """Execute ``main(*args)`` and return the result.
 
         ``args`` may contain Python ints/floats/bools/strings, lists (which
-        become fresh arrays) and None.
+        become fresh arrays) and None.  A call that would nest deeper than
+        :data:`MAX_CALL_DEPTH` raises a :class:`RuntimeFault`, as any
+        other dynamic error does; so does a run that outgrows the raised
+        Python recursion limit some other way.  Before Python 3.11 the
+        run executes :func:`on_own_stack`.
         """
         saved_limit = sys.getrecursionlimit()
         raised_limit = saved_limit < self._RECURSION_LIMIT
         if raised_limit:
             sys.setrecursionlimit(self._RECURSION_LIMIT)
         try:
+            if _OWN_STACK:
+                return on_own_stack(self._run, args)
             return self._run(args)
+        except RecursionError:
+            raise RuntimeFault(CALL_DEPTH_MESSAGE) from None
         finally:
             if raised_limit:
                 sys.setrecursionlimit(saved_limit)
@@ -579,6 +633,9 @@ class Interpreter:
 
     def _call_function(self, func: ast.FuncDecl, args: List[Any],
                        call_node: ast.Node) -> Any:
+        if self._call_depth >= MAX_CALL_DEPTH:
+            raise RuntimeFault(CALL_DEPTH_MESSAGE, call_node.line,
+                               call_node.col)
         frame = self.globals_env.child()
         for param, value in zip(func.params, args):
             cell = frame.define(param.name, value)
@@ -587,12 +644,14 @@ class Interpreter:
             self._obs_cost_write(pending, cell.addr, call_node)
         self._flush_cost()
         self._obs_enter_scope("call", func.nid, func.body.nid)
+        self._call_depth += 1
         try:
             self._exec_block_stmts(func.body, frame)
             return None
         except _ReturnSignal as signal:
             return signal.value
         finally:
+            self._call_depth -= 1
             self._flush_cost()
             self._obs_exit_scope()
 

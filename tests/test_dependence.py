@@ -12,6 +12,7 @@ from repro.races import detect_races
 from repro.repair.dependence import (
     DepNode,
     DependenceGraph,
+    EdgeCounts,
     build_dependence_graph,
     group_races_by_nslca,
 )
@@ -188,10 +189,20 @@ def scanned_sinks(edges, i, k):
 
 
 def assert_covered_sinks_match_scan(graph):
+    """VALID asks the edge counts whether a run of positions right of
+    ``k`` holds a sink the finish over ``i..k`` covers: every single
+    position and every run must agree with the scanned sink set."""
+    counts = EdgeCounts(graph.size, graph.edges)
     for i in range(graph.size):
         for k in range(i, graph.size):
-            assert graph.covered_sinks(i, k) == \
-                scanned_sinks(graph.edges, i, k), (i, k)
+            sinks = scanned_sinks(graph.edges, i, k)
+            covered = [y for y in range(k + 1, graph.size)
+                       if counts.count(i, k, y, y)]
+            assert covered == sinks, (i, k)
+            for lo in range(k + 1, graph.size):
+                hi = min(graph.size - 1, lo + (i + k) % 4)
+                assert (counts.count(i, k, lo, hi) > 0) == \
+                    any(lo <= y <= hi for y in sinks), (i, k, lo, hi)
 
 
 class TestCoveredSinks:

@@ -2,6 +2,13 @@
 
 import pytest
 
+from repro.bench.students import (
+    MATCHED_TEMPLATES,
+    OVERSYNC_TEMPLATES,
+    RACY_TEMPLATES,
+)
+from repro.bench.suite import BENCHMARK_ORDER, get_benchmark
+from repro.dpst.nodes import ASYNC, FINISH, STEP
 from repro.graph import (
     ComputationGraph,
     greedy_schedule,
@@ -9,6 +16,7 @@ from repro.graph import (
     span_parts,
     structure_dpst,
 )
+from repro.lang import parse
 from repro.races import detect_races
 from tests.conftest import build
 from tests.test_replay import dpst_sig
@@ -210,3 +218,75 @@ class TestStructureDpst:
 
         with pytest.raises(StepLimitExceeded):
             structure_dpst(build(SEQUENTIAL), max_ops=5)
+
+
+class RecursiveGraph(ComputationGraph):
+    """The original recursive build and node insertion, kept as the
+    reference the iterative :meth:`ComputationGraph._build` must reproduce
+    exactly."""
+
+    def _add_node(self, step, preds):
+        idx = step.index
+        self.order.append(idx)
+        self.cost[idx] = step.cost
+        self.preds[idx] = list(preds)
+        self.succs.setdefault(idx, [])
+        for p in preds:
+            self.succs.setdefault(p, []).append(idx)
+
+    def build_recursively(self, node, entry_preds):
+        if node.kind == STEP:
+            self._add_node(node, entry_preds)
+            return frozenset((node.index,)), frozenset()
+        if node.kind == ASYNC:
+            sync, dangling = self._sequence(node.children, entry_preds)
+            return entry_preds, sync | dangling
+        if node.kind == FINISH:
+            sync, dangling = self._sequence(node.children, entry_preds)
+            return sync | dangling, frozenset()
+        return self._sequence(node.children, entry_preds)
+
+    def _sequence(self, children, entry_preds):
+        sync = entry_preds
+        dangling = frozenset()
+        for child in children:
+            child_sync, child_dangling = self.build_recursively(child, sync)
+            sync = child_sync
+            dangling = dangling | child_dangling
+        return sync, dangling
+
+
+def assert_same_as_recursive_build(tree):
+    reference = RecursiveGraph()
+    reference.build_recursively(tree.root, frozenset())
+    graph = ComputationGraph.from_dpst(tree)
+    assert graph.order == reference.order
+    assert graph.preds == reference.preds  # lists: same order too
+    assert graph.cost == reference.cost
+    assert graph.succs == reference.succs
+
+
+class TestIterativeBuild:
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_benchmarks(self, name):
+        spec = get_benchmark(name)
+        assert_same_as_recursive_build(
+            structure_dpst(spec.parse(), spec.test_args))
+
+    @pytest.mark.parametrize("index", range(
+        len(RACY_TEMPLATES + OVERSYNC_TEMPLATES + MATCHED_TEMPLATES)))
+    def test_student_corpus(self, index):
+        source = (RACY_TEMPLATES + OVERSYNC_TEMPLATES
+                  + MATCHED_TEMPLATES)[index][1]
+        assert_same_as_recursive_build(structure_dpst(parse(source), (40,)))
+
+    def test_deeper_than_the_recursion_limit(self):
+        import sys
+
+        from tests.test_deep_programs import DEEP_SOURCE
+
+        depth = sys.getrecursionlimit()
+        graph = ComputationGraph.from_dpst(
+            structure_dpst(parse(DEEP_SOURCE), (depth,)))
+        assert graph.node_count > depth
+        assert 0 < graph.span() < graph.work()

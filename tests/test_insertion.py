@@ -1,8 +1,13 @@
 """Insertion-point search and static validity (Sections 5.2 / 6)."""
 
+from unittest import mock
+
+from repro.bench.suite import get_benchmark
+from repro.lang import strip_finishes
 from repro.races import detect_races
+from repro.repair import engine, insertion
 from repro.repair.dependence import build_dependence_graph, group_races_by_nslca
-from repro.repair.engine import _statement_positions
+from repro.repair.engine import RepairEngine, _statement_positions
 from repro.repair.insertion import (
     InsertionFinder,
     build_scope_table,
@@ -199,3 +204,42 @@ class TestScopeTable:
         table = build_scope_table(program)
         then_block = program.main.body.stmts[0].then_block
         assert then_block.nid in table
+
+
+class TestTablesPerGraph:
+    """The finder builds its index tables and edge counts once per
+    dependence graph, however many queries the DP asks about it."""
+
+    def test_one_build_per_graph_in_a_repair(self):
+        built = {"tables": [], "counts": 0}
+        graphs = []
+
+        class Tables(insertion._GraphTables):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built["tables"].append(self.dep_nodes)
+
+        class Counts(insertion.EdgeCounts):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built["counts"] += 1
+
+        real_build = engine.build_dependence_graph
+
+        def build_graph(*args, **kwargs):
+            graph = real_build(*args, **kwargs)
+            graphs.append(graph)
+            return graph
+
+        spec = get_benchmark("mergesort")
+        with mock.patch.object(insertion, "_GraphTables", Tables), \
+                mock.patch.object(insertion, "EdgeCounts", Counts), \
+                mock.patch.object(engine, "build_dependence_graph",
+                                  build_graph):
+            result = RepairEngine().repair(strip_finishes(spec.parse()),
+                                           spec.test_args)
+        assert result.converged
+        assert len(graphs) > 1
+        assert [id(nodes) for nodes in built["tables"]] == \
+            [id(graph.nodes) for graph in graphs]
+        assert built["counts"] == len(graphs)

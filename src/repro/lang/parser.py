@@ -15,6 +15,14 @@ Grammar sketch::
 
 ``async f(x);`` is sugar for ``async { f(x); }`` (and likewise for
 ``finish``), matching the paper's examples.
+
+A program may nest at most :data:`MAX_NESTING` levels deep.  Every
+nested construct counts one level -- a block, a statement, an expression
+in an operand, argument, index or parenthesis position -- and so does
+every link of a left-associative operator chain (``a + b + c``) or
+postfix chain (``a[i][j]``, ``s.f.g``), which the parser builds in a
+loop but every later tree walk descends into.  The token that crosses
+the limit is a parse error, so no later pass ever sees a deeper tree.
 """
 
 from __future__ import annotations
@@ -51,6 +59,15 @@ _BINARY_TOKENS = {
     TokenType.STAR: "*", TokenType.SLASH: "/", TokenType.PERCENT: "%",
 }
 
+#: The deepest a program may nest (module docstring).  Every recursive
+#: walk of the syntax tree -- validation, printing, cache keys, cloning,
+#: code generation -- must handle a program at exactly this depth.
+MAX_NESTING = 200
+
+_UNARY_TOKENS = {
+    TokenType.MINUS: "-", TokenType.NOT: "!", TokenType.BITNOT: "~",
+}
+
 _ASSIGN_TOKENS = {
     TokenType.ASSIGN: "=",
     TokenType.PLUS_ASSIGN: "+=",
@@ -67,6 +84,10 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.program = ast.Program(nid=0, source_name=source_name)
+        # Nesting level of the construct being parsed, and the height of
+        # the expression subtree most recently parsed (see MAX_NESTING).
+        self._depth = 0
+        self._height = 0
 
     # ------------------------------------------------------------------
     # Token helpers
@@ -105,6 +126,16 @@ class Parser:
 
     def _nid(self) -> int:
         return self.program.fresh_id()
+
+    def _descend(self, token: Token, levels: int = 1) -> None:
+        """Enter a construct nested ``levels`` deeper, at ``token``."""
+        self._depth += levels
+        self._check_depth(self._depth, token)
+
+    def _check_depth(self, depth: int, token: Token) -> None:
+        if depth > MAX_NESTING:
+            raise ParseError(f"program nests deeper than {MAX_NESTING} "
+                             f"levels", token.line, token.column)
 
     # ------------------------------------------------------------------
     # Top level
@@ -185,12 +216,14 @@ class Parser:
 
     def _parse_block(self) -> ast.Block:
         start = self._expect(TokenType.LBRACE)
+        self._descend(start, 2)  # the block, and its statements below it
         stmts: List[ast.Stmt] = []
         while not self._at(TokenType.RBRACE):
             if self._at(TokenType.EOF):
                 raise ParseError("unterminated block", start.line, start.column)
             stmts.append(self._parse_stmt())
         self._expect(TokenType.RBRACE)
+        self._depth -= 2
         return ast.Block(self._nid(), stmts, start.line, start.column)
 
     def _parse_stmt(self) -> ast.Stmt:
@@ -233,7 +266,9 @@ class Parser:
         """Body of async/finish: a block, or a single statement (sugar)."""
         if self._at(TokenType.LBRACE):
             return self._parse_block()
+        self._descend(self._peek(), 2)  # the implied block, and the stmt
         stmt = self._parse_stmt()
+        self._depth -= 2
         return ast.Block(self._nid(), [stmt], stmt.line, stmt.col)
 
     def _parse_vardecl(self) -> ast.VarDecl:
@@ -253,10 +288,13 @@ class Parser:
         self._expect(TokenType.RPAREN)
         then_block = self._parse_block()
         else_block = None
-        if self._match(TokenType.ELSE):
+        else_token = self._match(TokenType.ELSE)
+        if else_token is not None:
             if self._at(TokenType.IF):
                 # else-if chain: wrap the nested if in a block.
+                self._descend(else_token, 2)  # the block, and the if
                 nested = self._parse_if()
+                self._depth -= 2
                 else_block = ast.Block(self._nid(), [nested],
                                        nested.line, nested.col)
             else:
@@ -320,54 +358,68 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _parse_expr(self, min_prec: int = 1) -> ast.Expr:
+        self._depth += 1  # _descend inlined, as in _parse_stmt
+        if self._depth > MAX_NESTING:
+            self._check_depth(self._depth, self._peek())
         left = self._parse_unary()
+        height = self._height
         while True:
             token = self._peek()
             op = _BINARY_TOKENS.get(token.type)
             if op is None or _PRECEDENCE[op] < min_prec:
+                self._height = height
+                self._depth -= 1
                 return left
+            # The chain so far moves one level down under the new node.
+            if self._depth + height > MAX_NESTING:
+                self._check_depth(self._depth + height, token)
             self._advance()
             right = self._parse_expr(_PRECEDENCE[op] + 1)
+            height = max(height, self._height) + 1
             left = ast.Binary(self._nid(), op, left, right,
                               token.line, token.column)
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()
-        if token.type is TokenType.MINUS:
-            self._advance()
-            return ast.Unary(self._nid(), "-", self._parse_unary(),
-                             token.line, token.column)
-        if token.type is TokenType.NOT:
-            self._advance()
-            return ast.Unary(self._nid(), "!", self._parse_unary(),
-                             token.line, token.column)
-        if token.type is TokenType.BITNOT:
-            self._advance()
-            return ast.Unary(self._nid(), "~", self._parse_unary(),
-                             token.line, token.column)
-        return self._parse_postfix()
+        op = _UNARY_TOKENS.get(token.type)
+        if op is None:
+            return self._parse_postfix()
+        self._advance()
+        self._descend(token)
+        nid = self._nid()  # before the operand's, as ids are preorder here
+        operand = self._parse_unary()
+        self._depth -= 1
+        self._height += 1
+        return ast.Unary(nid, op, operand, token.line, token.column)
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
+        height = self._height
         while True:
             token = self._peek()
             if token.type is TokenType.LBRACKET:
+                self._check_depth(self._depth + height, token)
                 self._advance()
                 index = self._parse_expr()
+                height = max(height, self._height) + 1
                 self._expect(TokenType.RBRACKET)
                 expr = ast.Index(self._nid(), expr, index,
                                  token.line, token.column)
             elif token.type is TokenType.DOT:
+                self._check_depth(self._depth + height, token)
                 self._advance()
+                height += 1
                 field = self._expect(TokenType.IDENT, "field name")
                 expr = ast.FieldAccess(self._nid(), expr, str(field.value),
                                        token.line, token.column)
             else:
+                self._height = height
                 return expr
 
     def _parse_primary(self) -> ast.Expr:
         token = self._peek()
         ttype = token.type
+        self._height = 1
         if ttype is TokenType.INT:
             self._advance()
             return ast.IntLit(self._nid(), int(token.value), token.line, token.column)
@@ -400,12 +452,15 @@ class Parser:
             if self._at(TokenType.LPAREN):
                 self._advance()
                 args: List[ast.Expr] = []
+                height = 0
                 if not self._at(TokenType.RPAREN):
                     while True:
                         args.append(self._parse_expr())
+                        height = max(height, self._height)
                         if not self._match(TokenType.COMMA):
                             break
                 self._expect(TokenType.RPAREN)
+                self._height = height + 1
                 return ast.Call(self._nid(), str(token.value), args,
                                 token.line, token.column)
             return ast.VarRef(self._nid(), str(token.value),
@@ -422,13 +477,17 @@ class Parser:
             return ast.NewStruct(self._nid(), str(name.value),
                                  start.line, start.column)
         dims: List[ast.Expr] = []
+        height = 0
         self._expect(TokenType.LBRACKET, "'[' or '(' after new")
         dims.append(self._parse_expr())
+        height = self._height
         self._expect(TokenType.RBRACKET)
         while self._at(TokenType.LBRACKET):
             self._advance()
             dims.append(self._parse_expr())
+            height = max(height, self._height)
             self._expect(TokenType.RBRACKET)
+        self._height = height + 1
         return ast.NewArray(self._nid(), str(name.value), dims,
                             start.line, start.column)
 

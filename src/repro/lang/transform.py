@@ -10,16 +10,60 @@ statements from the benchmarks..."*).
 
 from __future__ import annotations
 
-import copy
-from typing import List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..errors import RepairError
 from . import ast
 
 
+def clone_tree(node: ast.Node) -> Any:
+    """Deep-copy ``node``'s subtree, preserving every node id.
+
+    The copy walks an explicit stack, so a tree at the parser's nesting
+    limit copies as easily as a flat one (``copy.deepcopy`` recursed
+    several Python frames per level and overflowed at 60 nested ``if``
+    statements).  No node is shared between the original and the copy.
+    """
+    copies: Dict[int, ast.Node] = {}
+    pending: List[Tuple[ast.Node, ast.Node]] = []
+
+    def copy_of(value: Any) -> Any:
+        if isinstance(value, ast.Node):
+            twin = copies.get(id(value))
+            if twin is None:
+                twin = copies[id(value)] = object.__new__(type(value))
+                pending.append((value, twin))
+            return twin
+        if type(value) is list:
+            return [copy_of(item) for item in value]
+        if type(value) is dict:
+            return {key: copy_of(item) for key, item in value.items()}
+        return value  # ids, names, literals: immutable
+
+    root = copy_of(node)
+    while pending:
+        original, twin = pending.pop()
+        for name in _slot_names(type(original)):
+            setattr(twin, name, copy_of(getattr(original, name)))
+    return root
+
+
+_SLOT_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _slot_names(cls: type) -> Tuple[str, ...]:
+    """Every attribute a node class stores (all AST nodes use slots)."""
+    names = _SLOT_NAMES.get(cls)
+    if names is None:
+        names = _SLOT_NAMES[cls] = tuple(
+            name for klass in reversed(cls.__mro__)
+            for name in klass.__dict__.get("__slots__", ()))
+    return names
+
+
 def clone_program(program: ast.Program) -> ast.Program:
-    """Deep-copy a program, preserving all node ids."""
-    return copy.deepcopy(program)
+    """Deep-copy a program, preserving all node ids and ``_next_id``."""
+    return clone_tree(program)
 
 
 def strip_finishes(program: ast.Program) -> ast.Program:

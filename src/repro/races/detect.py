@@ -7,9 +7,10 @@ set with the selected ESP-bags variant.
 Two paths:
 
 * ``"mrw"`` and ``"srw"`` (:data:`~repro.races.arraycore.ALGORITHMS`)
-  run on the **array core**: the run's observer stream is buffered into
-  the packed trace encoding as it executes, then S-DPST maintenance and
-  bag transitions run over the flat arrays in batch
+  run on the **array core**: the generated code of the run appends the
+  packed trace encoding into a :class:`~repro.runtime.recorder.TraceBuffer`
+  as it executes (no observer call per access), then S-DPST maintenance
+  and bag transitions run over the flat arrays in batch
   (:mod:`repro.races.arraycore`).
 * The vector-clock baseline (``"vc"``) and a caller-supplied
   ``detector=`` (a :class:`~repro.dpst.builder.DetectorBase` with a
@@ -202,8 +203,8 @@ def _detect_races_array(program: ast.Program, args: Sequence[Any],
                         algorithm: str, seed: int, max_ops: int,
                         record_trace: bool,
                         incremental: bool = False) -> DetectionResult:
-    """The array-core detection path: buffer the observer stream into
-    the packed encoding during the run, then detect over it in batch."""
+    """The array-core detection path: record the packed encoding during
+    the run, then detect over it in batch."""
     from ..runtime.recorder import TraceBuffer
     from .arraycore import run_arraycore
 

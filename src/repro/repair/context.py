@@ -18,12 +18,11 @@ is never slower and is verified never racy.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..graph import measure_program
 from ..lang import ast
-from ..lang.transform import clone_program
+from ..lang.transform import clone_program, clone_tree
 from ..races import detect_races
 from .engine import RepairResult
 
@@ -98,7 +97,7 @@ def _make_variant(program: ast.Program, name: str) -> Optional[str]:
     variant_name = f"{name}__nofinish"
     if variant_name in program.functions:
         return None
-    clone = copy.deepcopy(program.functions[name])
+    clone = clone_tree(program.functions[name])
     clone.name = variant_name
     for node in ast.walk(clone):
         node.nid = program.fresh_id()

@@ -15,13 +15,14 @@ measured step execution times).
 
 Two execution engines share this contract:
 
-* ``"compiled"`` — the closure-compilation engine in
-  :mod:`repro.runtime.compiler`, which lowers each AST node to a Python
-  closure once and replays the *exact* same observer event stream and op
-  counts several times faster.  Every production run uses it.
+* ``"compiled"`` — the generated-source engine in
+  :mod:`repro.runtime.codegen`, which lowers each mini-HJ function to one
+  Python function, compiles the program's text once and produces the
+  *exact* same observer event stream and op counts several times
+  faster.  Every production run uses it.
 * ``"tree"`` — the direct AST-walking interpreter in this module, one
   ``isinstance`` dispatch chain per node visit.  It stays as the
-  reference the compiled engine is tested against, and as the base of
+  reference the generated engine is tested against, and as the base of
   :class:`~repro.runtime.schedules.DeferredScheduleInterpreter`, which
   reorders tasks by overriding its statement handler.  Only the
   ``Interpreter(..., engine="tree")`` constructor argument selects it.
@@ -94,7 +95,10 @@ class ExecutionObserver:
         at an arbitrary statement boundary.  Observers that need that
         number (the trace recorder records it at every ``at_statement`` so
         replay can re-attribute cost across later-inserted ``finish``
-        boundaries) keep the callable; the default discards it.
+        boundaries) keep the callable; the default discards it.  Only the
+        tree engine calls this: the generated engine fills a
+        :class:`~repro.runtime.recorder.TraceBuffer`'s pending costs
+        itself and keeps its counters in Python locals no probe can read.
         """
 
     def read(self, addr, node: ast.Node) -> None:
@@ -106,8 +110,8 @@ class ExecutionObserver:
     def add_cost(self, units: int) -> None:
         """``units`` time units of computation happened in the current step."""
 
-    # Fused access events.  The compiled engine reports every monitored
-    # access through these; the defaults decompose them into the exact
+    # Fused access events.  The generated engine reports every monitored
+    # access through these (outside a TraceBuffer); the defaults decompose them into the exact
     # ``add_cost``/``read``/``write`` sequence the tree engine emits, so
     # observers that only implement the primitive hooks see an identical
     # event stream.  Observers on the per-access hot path (the S-DPST
@@ -155,7 +159,7 @@ _CHECK_INTERVAL = 4096
 
 
 # ----------------------------------------------------------------------
-# Operator semantics (shared by the tree and compiled engines)
+# Operator semantics (shared by the tree and generated engines)
 # ----------------------------------------------------------------------
 
 def both_ints(left: Any, right: Any) -> bool:
@@ -283,24 +287,41 @@ def binary_op(op: str, left: Any, right: Any, node: ast.Node) -> Any:
     raise RuntimeFault(f"unknown operator {op!r}", node.line, node.col)
 
 
-def check_array_length(length: Any, max_ops: int, line: int,
-                       col: int) -> int:
-    """The length of one ``new T[length]`` dimension, or a fault.
+def allocate_array(length: Any, fill: Any, budget: List[int],
+                   max_ops: int, node: ast.Node) -> ArrayValue:
+    """One ``new T[length]`` dimension's array, or a fault.
 
-    Both engines call this.  A length must be an int in
-    ``0..max_ops``: a run cannot fill more elements than its operation
-    budget, and a longer array would be allocated before the step limit
-    could stop it (``new int[10**10]`` exhausts memory, not ops).
+    Both engines call this.  A length must be an int in ``0..max_ops``,
+    and every array a run allocates charges its length against the run's
+    one element budget ``budget[0]`` (``max_ops`` at the start): a run
+    cannot fill more elements than its operation budget, and a larger
+    allocation would exhaust memory before the step limit could stop it
+    (``new int[10**10]``, or ``new int[20000][20000]`` dimension by
+    dimension).
     """
     if type(length) is not int:
-        raise RuntimeFault("array length must be an integer", line, col)
+        raise RuntimeFault("array length must be an integer",
+                           node.line, node.col)
     if length < 0:
         raise RuntimeFault(f"negative array length {to_display(length)}",
-                           line, col)
+                           node.line, node.col)
     if length > max_ops:
         raise RuntimeFault(f"array length {to_display(length)} is too large",
-                           line, col)
-    return length
+                           node.line, node.col)
+    if length > budget[0]:
+        raise RuntimeFault(f"arrays allocated by this run exceed "
+                           f"{max_ops} elements", node.line, node.col)
+    budget[0] -= length
+    return ArrayValue(length, fill)
+
+
+def convert_arg(arg: Any) -> Any:
+    """A ``main`` argument as a runtime value: lists become fresh arrays."""
+    if isinstance(arg, list):
+        array = ArrayValue(len(arg))
+        array.items = [convert_arg(v) for v in arg]
+        return array
+    return arg
 
 
 #: CPython before 3.11 runs every Python call on the C stack, and a
@@ -351,8 +372,7 @@ class Interpreter:
                  engine: str = "compiled") -> None:
         self.program = program
         self.observer = observer if observer is not None else ExecutionObserver()
-        # Observer hooks resolved once (the compiled engine does the same
-        # in its own __init__): the tree engine's per-access path calls
+        # Observer hooks resolved once: the tree engine's per-access path calls
         # these millions of times, and the fused cost_read/cost_write
         # entry points replace every flush-then-access pair with one call.
         obs = self.observer
@@ -371,6 +391,8 @@ class Interpreter:
         # _CHECK_INTERVAL ops, clamped so the budget itself is never
         # overshot by more than one op.
         self._next_check = min(_CHECK_INTERVAL, max_ops + 1)
+        # Elements the run may still allocate (see allocate_array).
+        self._elements = [max_ops]
         self.globals_env = Environment()
         if engine not in _ENGINES:
             raise ValueError(
@@ -413,14 +435,14 @@ class Interpreter:
             raise RuntimeFault(
                 f"main expects {len(main.params)} argument(s), got {len(args)}")
         if self.engine == "compiled":
-            from .compiler import CompiledEngine
+            from .codegen import run_generated
 
-            compiled = CompiledEngine(self.program, self.observer, self.ctx,
-                                      self.globals_env, self.max_ops)
+            ops = [0]
             try:
-                return compiled.run(args)
+                return run_generated(self.program, self.observer, self.ctx,
+                                     self.max_ops, args, ops)
             finally:
-                self.ops = compiled.ops
+                self.ops = ops[0]
         self.observer.bind_pending_cost(lambda: self._pending_cost)
         for gdecl in self.program.globals:
             self._obs_at(gdecl.nid)
@@ -430,17 +452,10 @@ class Interpreter:
             pending = self._pending_cost
             self._pending_cost = 0
             self._obs_cost_write(pending, cell.addr, gdecl)
-        value = self._call_function(main, [self._convert_arg(a) for a in args],
+        value = self._call_function(main, [convert_arg(a) for a in args],
                                     main)
         self._flush_cost()
         return ExecutionResult(self.ctx.output, self.ops, value)
-
-    def _convert_arg(self, arg: Any) -> Any:
-        if isinstance(arg, list):
-            array = ArrayValue(len(arg))
-            array.items = [self._convert_arg(v) for v in arg]
-            return array
-        return arg
 
     # ------------------------------------------------------------------
     # Cost accounting
@@ -729,11 +744,12 @@ class Interpreter:
 
     def _alloc_array(self, expr: ast.NewArray, env: Environment,
                      dim: int) -> ArrayValue:
-        length = check_array_length(self._eval(expr.dims[dim], env),
-                                    self.max_ops, expr.line, expr.col)
+        length = self._eval(expr.dims[dim], env)
         if dim == len(expr.dims) - 1:
-            return ArrayValue(length, default_fill(expr.elem_type))
-        array = ArrayValue(length, None)
+            return allocate_array(length, default_fill(expr.elem_type),
+                                  self._elements, self.max_ops, expr)
+        array = allocate_array(length, None, self._elements, self.max_ops,
+                               expr)
         # Allocate inner arrays; each row shares the remaining dimensions.
         # Re-evaluating the inner dims per row matches Java's semantics for
         # rectangular `new T[n][m]` with side-effect-free dims.
@@ -795,7 +811,7 @@ class Interpreter:
         return base
 
     # ------------------------------------------------------------------
-    # Operators (module-level functions shared with the compiled engine)
+    # Operators (module-level functions shared with the generated engine)
     # ------------------------------------------------------------------
 
     _truth = staticmethod(truth_value)

@@ -37,6 +37,7 @@ valid across in-place finish insertion).
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Any, List
 
 from .interpreter import ExecutionObserver
@@ -135,19 +136,21 @@ class TraceBuffer(ExecutionObserver):
     """Observer that *only* records the packed encoding of a run.
 
     This is the array core's first-run producer: per monitored access it
-    does one interning lookup and two list appends — no S-DPST node, no
-    shadow-memory entry, no detector call.  The batch consumer
+    records one code and one node — no S-DPST node, no shadow-memory
+    entry, no detector call.  The batch consumer
     (:mod:`repro.races.arraycore`) does all of that afterwards, over the
     flat arrays.
 
-    The observer hooks are installed as *instance attributes* — closures
+    The generated engine (:mod:`repro.runtime.codegen`) never calls the
+    hooks: its code appends into the buffer's lists directly and records
+    control events for :meth:`close_events`.  The hooks serve the tree
+    engine.  They are installed as *instance attributes* — closures
     built in ``__init__`` that capture the arrays and their bound
-    ``append`` methods directly.  Engines resolve observer methods once
-    and call them millions of times; closing over the state up front
-    removes every per-call ``self.`` lookup from the hot path.  The
-    engine's pending-cost hook arrives (via :meth:`bind_pending_cost`)
-    *after* engines have already bound ``at_statement``, so the closure
-    reads it through a one-slot cell rather than being rebuilt.
+    ``append`` methods directly, removing every per-call ``self.``
+    lookup.  The engine's pending-cost hook arrives (via
+    :meth:`bind_pending_cost`) *after* the engine has already bound
+    ``at_statement``, so the closure reads it through a one-slot cell
+    rather than being rebuilt.
     """
 
     def __init__(self) -> None:
@@ -167,6 +170,11 @@ class TraceBuffer(ExecutionObserver):
         self._anodes: List[Any] = []
         self._addr_ids = {}
         self._addr_table: List[Any] = []
+        # The generated engine records each control event as five
+        # consecutive entries, ``kind, payload, pend, flushed, start``,
+        # where ``flushed`` is the cost flushed so far; close_events
+        # derives the control arrays from them once after the run.
+        self._events: List[Any] = []
         self._install_hooks()
 
     # ------------------------------------------------------------------
@@ -260,6 +268,21 @@ class TraceBuffer(ExecutionObserver):
         self.add_cost = add_cost
         self.cost_read = cost_read
         self.cost_write = cost_write
+
+    def close_events(self, flushed: int) -> None:
+        """Append the control arrays of the generated engine's recorded
+        events; ``flushed`` is the run's total flushed cost.  A segment's
+        cost is the flushed cost between its event and the next."""
+        events = self._events
+        self._kinds.extend(events[0::5])
+        self._payloads.extend(events[1::5])
+        self._pends.extend(events[2::5])
+        self._starts.extend(events[4::5])
+        marks = [0]
+        marks.extend(events[3::5])
+        marks.append(flushed)
+        self._segcosts[:] = map(sub, marks[1:], marks)
+        events.clear()
 
     # ------------------------------------------------------------------
 

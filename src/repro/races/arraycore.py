@@ -15,13 +15,17 @@ of that work *afterwards*, over the flat arrays:
   their ancestor chains; the full tree is built on first ``.dpst``
   access (reusing those nodes), and a race-free confirming run never
   builds any.
-* **Batch bag transitions** — within one segment (the accesses between
-  two control events) the S/P ``clock`` cannot change and the executing
-  task is serialized with itself, so a repeated ``(addr, kind)`` access
-  can be deduplicated *before* any bag query: it provably records
-  nothing the first occurrence did not.  The MRW core skips duplicates
-  entirely; the SRW core degrades them to a summary-slot store (its
-  single-reader slot keeps the *last* access).
+* **Shared accesses only** — an ownership pre-pass (:func:`shared_ordinals`,
+  once per trace) finds the addresses two or more tasks touch; only
+  accesses to those can race, so the scan visits nothing else.
+* **Batch bag transitions** — within one step (the accesses between two
+  pushes or pops of the S-DPST stack) the S/P ``clock`` cannot change
+  and the executing task is serialized with itself, so the detector is
+  called once per step run and a repeated ``(addr, kind)`` access can be
+  deduplicated *before* any bag query: it provably records nothing the
+  first occurrence did not.  The MRW core skips duplicates entirely; the
+  SRW core degrades them to a summary-slot store (its single-reader slot
+  keeps the *last* access).
 * **Int-indexed summaries** — shadow memory is flat lists indexed by the
   interned address id, accessor summaries store ``(ordinal, step
   index)`` ints instead of per-access objects, and clean-scan
@@ -39,7 +43,8 @@ nodes, task ids, addresses) and materialized S-DPST are bit-identical to
 those of the object ESP-bags detectors kept in ``tests/esp_reference.py``
 (run through ``DpstBuilder`` by ``detect_races(..., detector=...)``),
 for both the MRW and SRW variants.  The dedup and fingerprint filters only ever skip
-work whose outcome is provable from the clock invariant;
+work whose outcome is provable from the clock invariant, and the
+ownership filter only addresses that cannot race (DESIGN.md §11);
 ``tests/test_arraycore.py`` enforces this differentially over the bench
 and student corpora.
 """
@@ -47,6 +52,9 @@ and student corpora.
 from __future__ import annotations
 
 import gc
+from bisect import bisect_left
+from itertools import compress, repeat
+from operator import itemgetter, rshift
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..dpst.nodes import ASYNC, FINISH, SCOPE, STEP, DpstNode
@@ -269,9 +277,11 @@ class _ArrayDetectorBase:
         self._race_rows: List[Tuple[int, int, int, int, int, int, int,
                                     int]] = []
         self._race_keys = set()
-        #: per-access stamp dict for the within-segment duplicate filter.
+        #: code -> step index stamp of the within-step duplicate filter.
         self._seen: Dict[int, int] = {}
+        #: every access of the trace / the shared ones the scan visited.
         self.monitored_accesses = 0
+        self.scanned_accesses = 0
 
     def build_report(self, arrays: "_DpstArrays") -> RaceReport:
         """The race rows as a :class:`RaceReport`, materializing only
@@ -339,17 +349,21 @@ class ArrayMrwDetector(_ArrayDetectorBase):
                          self._w_rcount[aid]]
         return out
 
-    def make_segment(self):
-        """Build the per-segment transition function, with all detector
-        state bound once in the closure — segments are numerous and
-        often tiny, so per-call rebinding would dominate.
+    def make_segment(self, shared: List[int]):
+        """Build the step-run scan function, with all detector state
+        bound once in the closure — step runs are numerous and often
+        tiny, so per-call rebinding would dominate.
 
-        The returned ``segment(lo, hi, step, task)`` processes accesses
-        ``[lo, hi)`` — all in ``step`` of ``task``.  The clock cannot
-        change within a segment and the executing task is serialized
-        with itself, so a repeated ``(addr, kind)`` code provably
-        records nothing new: the duplicate filter skips it before any
-        bag query.
+        ``shared`` is the sorted list of the ordinals of accesses to
+        shared addresses (:func:`shared_ordinals`); the closure keeps a
+        cursor into it.  The returned ``segment(hi, step, task)`` scans
+        the shared accesses from the cursor up to ordinal ``hi`` — all
+        in ``step`` of ``task`` — and returns the next unscanned shared
+        ordinal (``len(acodes)`` once none is left).  The clock cannot
+        change within a step and the executing task is serialized with
+        itself, so a repeated ``(addr, kind)`` code provably records
+        nothing new: the duplicate filter, stamped with the step index,
+        skips it before any bag query.
         """
         writers_l = self._writers
         readers_l = self._readers
@@ -366,13 +380,19 @@ class ArrayMrwDetector(_ArrayDetectorBase):
         # innermost hot code on racy programs).
         acodes = self._acodes
         seen = self._seen
-        def segment(lo, hi, step, task):
+        n_shared = len(shared)
+        done = len(acodes)
+        pos = 0
+
+        def segment(hi, step, task):
+            nonlocal pos
+            end = bisect_left(shared, hi, pos)
             clock = bags.clock
-            for i in range(lo, hi):
+            for i in shared[pos:end]:
                 code = acodes[i]
-                if seen.get(code) == lo:
+                if seen.get(code) == step:
                     continue
-                seen[code] = lo
+                seen[code] = step
                 aid = code >> 1
                 if code & 1:  # ---- write ----
                     writers = writers_l[aid]
@@ -440,6 +460,8 @@ class ArrayMrwDetector(_ArrayDetectorBase):
                         readers_l[aid] = {task: (i, step)}
                     elif task not in readers:
                         readers[task] = (i, step)
+            pos = end
+            return shared[end] if end < n_shared else done
         return segment
 
 
@@ -487,11 +509,11 @@ class ArraySrwDetector(_ArrayDetectorBase):
                          self._r_clock[aid]]
         return out
 
-    def make_segment(self):
-        """Build the per-segment transition function — see
-        :meth:`ArrayMrwDetector.make_segment` for the closure rationale;
-        the SRW duplicate handling degrades to a slot store instead of a
-        skip (class docstring)."""
+    def make_segment(self, shared: List[int]):
+        """Build the step-run scan function — see
+        :meth:`ArrayMrwDetector.make_segment` for the closure, the
+        cursor and the step stamp; the SRW duplicate handling degrades
+        to a slot store instead of a skip (class docstring)."""
         w_task = self._w_task
         w_ord = self._w_ord
         w_step = self._w_step
@@ -507,12 +529,18 @@ class ArraySrwDetector(_ArrayDetectorBase):
         # As in the MRW core, race recording is inlined.
         acodes = self._acodes
         seen = self._seen
-        def segment(lo, hi, step, task):
+        n_shared = len(shared)
+        done = len(acodes)
+        pos = 0
+
+        def segment(hi, step, task):
+            nonlocal pos
+            end = bisect_left(shared, hi, pos)
             clock = bags.clock
-            for i in range(lo, hi):
+            for i in shared[pos:end]:
                 code = acodes[i]
                 aid = code >> 1
-                if seen.get(code) == lo:
+                if seen.get(code) == step:
                     # Duplicate: only the occupant replacement survives.
                     if code & 1:
                         w_task[aid] = task
@@ -523,7 +551,7 @@ class ArraySrwDetector(_ArrayDetectorBase):
                         r_ord[aid] = i
                         r_step[aid] = step
                     continue
-                seen[code] = lo
+                seen[code] = step
                 if code & 1:  # ---- write ----
                     wt = w_task[aid]
                     if wt >= 0 and w_clock[aid] != clock \
@@ -568,6 +596,8 @@ class ArraySrwDetector(_ArrayDetectorBase):
                         r_ord[aid] = i
                         r_step[aid] = step
                         r_clock[aid] = clock
+            pos = end
+            return shared[end] if end < n_shared else done
         return segment
 
 
@@ -582,6 +612,74 @@ def make_array_detector(algorithm: str, trace: ExecutionTrace):
     raise ValueError(
         f"the array core supports the 'srw' and 'mrw' detectors, "
         f"not {algorithm!r}")
+
+
+# ----------------------------------------------------------------------
+# Address ownership
+# ----------------------------------------------------------------------
+
+def shared_ordinals(trace: ExecutionTrace) -> List[int]:
+    """The sorted ordinals of the accesses to *shared* addresses — those
+    touched by two or more tasks — computed once per trace and cached in
+    its :meth:`~repro.runtime.recorder.ExecutionTrace.replay_cache`.
+
+    A race needs two parallel accesses, hence two distinct tasks, so the
+    scan visits only these accesses (DESIGN.md §11, ownership lemma).
+    Inserting a finish never moves an access to another task, so every
+    replay of the trace reuses the list.
+    """
+    cache = trace.replay_cache()
+    shared = cache.get("shared_ordinals")
+    if shared is None:
+        shared = cache["shared_ordinals"] = _shared_ordinals(trace)
+    return shared
+
+
+def _shared_ordinals(trace: ExecutionTrace) -> List[int]:
+    kinds = trace.kinds
+    starts = trace.starts
+    acodes = trace.acodes
+    # The executing task changes only at async enters and exits, so the
+    # accesses between two of them are one contiguous range of one task.
+    marks = []
+    for kind in (K_ENTER_ASYNC, K_EXIT_ASYNC):
+        j = -1
+        try:
+            while True:
+                j = kinds.index(kind, j + 1)
+                marks.append(j)
+        except ValueError:
+            pass
+    if not marks:
+        return []  # the main task is the only task
+    marks.sort()
+    open_codes = [set()]  # access codes of the open tasks, innermost last
+    closed = set()  # addresses of the tasks closed so far
+    shared = set()
+    lo = 0
+    for j in marks:
+        hi = starts[j]
+        if hi > lo:
+            open_codes[-1].update(acodes[lo:hi])
+            lo = hi
+        if kinds[j] == K_ENTER_ASYNC:
+            open_codes.append(set())
+            continue
+        aids = set(map(rshift, open_codes.pop(), repeat(1)))
+        shared |= aids & closed
+        closed |= aids
+    main = open_codes.pop()
+    main.update(acodes[lo:])
+    shared |= set(map(rshift, main, repeat(1))) & closed
+    if not shared:
+        return []
+    # A code-indexed mask, gathered in C by one ``itemgetter`` call (two
+    # tasks share an address, so there are at least two accesses and the
+    # getter returns a tuple).
+    mask = [False] * (2 * len(trace.addr_table))
+    for aid in shared:
+        mask[aid << 1] = mask[aid << 1 | 1] = True
+    return list(compress(range(len(acodes)), itemgetter(*acodes)(mask)))
 
 
 # ----------------------------------------------------------------------
@@ -641,8 +739,12 @@ def run_arraycore(trace: ExecutionTrace, algorithm: str,
     nodes wrapping it) is the replay producer's splice map; ``None`` or
     empty means the trace is consumed as recorded (the first-run path).
     The loop mirrors the object builder's event handling exactly; per
-    access-bearing segment it makes one structural bookkeeping call and
-    one detector batch call.
+    access-bearing segment it makes one structural bookkeeping call.
+    The detector scans only the accesses to shared addresses
+    (:func:`shared_ordinals`), one call per *step run* — the
+    consecutive segments of one step, which end at the next push or pop
+    — that holds any of them; a run is scanned before the next bag
+    transition, so it sees the bag state of its own step.
 
     Two hooks serve MRW incremental re-detection
     (:mod:`repro.races.incremental`):
@@ -682,7 +784,17 @@ def run_arraycore(trace: ExecutionTrace, algorithm: str,
     enter_finish = arrays.enter_finish
     enter_scope = arrays.enter_scope
     pop = arrays.pop
-    segment = detector.make_segment() if detector is not None else None
+    # ``nxt`` is the first unscanned shared ordinal (``n_accesses`` when
+    # none is left); ``run_hi`` > 0 marks a pending step run that holds
+    # one, to be scanned up to ``run_hi`` in ``run_step``.
+    if detector is not None:
+        shared = shared_ordinals(trace)
+        segment = detector.make_segment(shared)
+        detector.scanned_accesses = len(shared)
+        nxt = shared[0] if shared else n_accesses
+    else:
+        nxt = n_accesses
+    run_hi = run_step = 0
     make_s_bag = bags.make_s_bag
     task_ends = bags.task_ends
     register_finish = bags.register_finish
@@ -704,11 +816,19 @@ def run_arraycore(trace: ExecutionTrace, algorithm: str,
     try:
         for j in range(n_events):
             kind = kinds[j]
+            if run_hi and kind != K_AT:
+                # Every other event pushes or pops, ending the step:
+                # scan the pending run before any bag transition.
+                nxt = segment(run_hi, run_step, tasks[-1])
+                run_hi = 0
             if kind == K_AT:
                 nid = payloads[j]
                 if has_chains:
                     target = chains_get(nid, _EMPTY)
                     if target is not cur:
+                        if run_hi:
+                            nxt = segment(run_hi, run_step, tasks[-1])
+                            run_hi = 0
                         pend = pends[j]
                         common = 0
                         len_cur = len(cur)
@@ -781,8 +901,8 @@ def run_arraycore(trace: ExecutionTrace, algorithm: str,
 
             # The segment: accesses and cost between this control event
             # and the next.  Step and anchor are loop-invariant here, so
-            # one seg_step() does the builder bookkeeping and the
-            # detector consumes the contiguous code range in batch.
+            # one seg_step() does the builder bookkeeping; a segment
+            # holding a shared access joins its step's pending run.
             lo = starts[j]
             hi = starts[j + 1] if j + 1 < n_events else n_accesses
             cost = segcosts[j]
@@ -794,8 +914,9 @@ def run_arraycore(trace: ExecutionTrace, algorithm: str,
                 step = seg_step()
                 if cost:
                     costs[step] += cost
-                if segment is not None:
-                    segment(lo, hi, step, tasks[-1])
+                if nxt < hi:
+                    run_hi = hi
+                    run_step = step
                 if soe_append is not None:
                     soe_append(step)
             else:
@@ -803,6 +924,8 @@ def run_arraycore(trace: ExecutionTrace, algorithm: str,
                     costs[seg_step()] += cost
                 if soe_append is not None:
                     soe_append(-1)
+        if run_hi:
+            segment(run_hi, run_step, tasks[-1])
         # Defensive: a well-formed trace closes every scope, so no
         # injected finish can still be open here.
         for _ in range(len(cur)):  # pragma: no cover - unreachable

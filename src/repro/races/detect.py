@@ -48,6 +48,9 @@ def _harvest_counters(execution: ExecutionResult, node_count: int,
     accesses = getattr(detector, "monitored_accesses", None)
     if accesses is not None:
         telemetry.counter("detector.monitored_accesses", accesses)
+    scanned = getattr(detector, "scanned_accesses", None)
+    if scanned is not None:
+        telemetry.counter("detector.scanned_accesses", scanned)
     bags = getattr(detector, "bags", None)
     if bags is not None:
         telemetry.counter("detector.bag_unions", bags.unions)

@@ -43,6 +43,7 @@ from .arraycore import (
     _DpstArrays,
     make_array_detector,
     run_arraycore,
+    shared_ordinals,
 )
 
 __all__ = [
@@ -193,17 +194,18 @@ def incremental_replay(trace: ExecutionTrace, algorithm: str, chains,
             raise IncrementalMiss(
                 f"injection chain for statement {nid} shrank or reordered")
 
-    # Cost guard: the row transform is O(rows × tree depth) while a full
-    # replay's detection scan is O(accesses) with clean-scan filtering,
-    # so on race-dense traces (MRW keeps *every* reader/writer pair, and
-    # a racy reduction can report a row per access) transforming the
-    # rows costs more than re-scanning.  Measured break-even is rows ≈
-    # accesses/4 on the bench suite.
-    if len(baseline.rows) * 4 >= len(trace.acodes) > 0:
+    # Cost guard: both paths run the structure pass; on top of it the
+    # row transform is O(rows × tree depth) while a full replay scans
+    # the shared accesses only (the ownership filter), so on race-dense
+    # traces (MRW keeps *every* reader/writer pair, and a racy reduction
+    # can report a row per access) transforming the rows costs more
+    # than re-scanning.  Measured break-even is rows ≈ shared accesses/2
+    # on the perfbench and Table-1 inputs (DESIGN.md §12).
+    shared = len(shared_ordinals(trace))
+    if len(baseline.rows) * 2 >= shared > 0:
         raise IncrementalMiss(
             f"race-row set too large for the row transform "
-            f"({len(baseline.rows)} rows, "
-            f"{len(trace.acodes)} accesses)")
+            f"({len(baseline.rows)} rows, {shared} shared accesses)")
     return _fast_mrw(trace, chains, baseline, new_nids)
 
 

@@ -181,6 +181,8 @@ def _replay_detection(trace: ExecutionTrace, program: ast.Program,
     telemetry.counter("detector.races", len(report))
     telemetry.counter("detector.monitored_accesses",
                       run.detector.monitored_accesses)
+    telemetry.counter("detector.scanned_accesses",
+                      run.detector.scanned_accesses)
     telemetry.counter("detector.bag_unions", run.bags.unions)
     elapsed = time.perf_counter() - start
     result = DetectionResult(execution, dpst, report, run.detector, elapsed,

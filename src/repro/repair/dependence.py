@@ -14,6 +14,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
+from .. import telemetry
 from ..dpst.nodes import ASYNC, STEP, DpstNode
 from ..dpst.tree import Dpst
 from ..errors import RepairError
@@ -147,7 +148,8 @@ def build_dependence_graph(tree: Dpst, nslca: DpstNode,
     deduplicated.  ``span_cache`` may be shared across calls to avoid
     recomputing subtree spans.  If, after exact coalescing, the graph
     still has more than ``max_nodes`` nodes (the O(n^3) DP would stall),
-    the conservative :func:`_merge_all_step_runs` fallback kicks in.
+    the conservative :func:`_merge_all_step_runs` fallback kicks in and
+    counts ``repair.step_run_merges``.
     """
     if span_cache is None:
         span_cache = {}
@@ -215,6 +217,7 @@ def build_dependence_graph(tree: Dpst, nslca: DpstNode,
             raise RepairError("edge endpoints coalesced into one node")
 
     if coalesce and len(nodes) > max_nodes:
+        telemetry.counter("repair.step_run_merges")
         nodes, edges = _merge_all_step_runs(nodes, edges)
     return DependenceGraph(nslca, nodes, edges)
 

@@ -367,6 +367,8 @@ class RepairEngine:
                 edits.setdefault(point.edit_key(), point)
         accepted = self._filter_nested_edits(work, stmt_positions,
                                              list(edits.values()))
+        telemetry.counter("repair.edits_deferred",
+                          len(edits) - len(accepted))
         return placements, accepted
 
     def _filter_nested_edits(self, work: ast.Program, stmt_positions,
@@ -384,6 +386,8 @@ class RepairEngine:
         inside — or around — an already-accepted region is deferred: if
         the accepted edit does not fix its races, the next engine
         iteration will see them again and repair whatever remains.
+        The caller counts the deferred edits as
+        ``repair.edits_deferred``.
         """
         block_parents = _block_parents(work)
         accepted: List[InsertionPoint] = []

@@ -107,8 +107,9 @@ class ExecutionTrace:
     def replay_cache(self) -> dict:
         """Mutable scratch dict scoped to this trace's lifetime.
 
-        Replay parks per-trace derived artifacts here (validated program
-        nid-sets) so repeated repair iterations over the same trace don't
+        Detection and replay park per-trace derived artifacts here
+        (validated program nid-sets, the array core's shared-access
+        ordinals) so repeated repair iterations over the same trace don't
         recompute them.  Keys are owned by the writers; the trace itself
         never reads the dict.
         """

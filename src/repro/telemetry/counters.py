@@ -18,6 +18,9 @@ Canonical counter names used by the pipeline:
 ``runtime.ops``                interpreter operations executed
 ``runtime.output_lines``       lines the program printed
 ``detector.monitored_accesses``  reads+writes the detector examined
+``detector.scanned_accesses``  of those, the shared-address accesses the
+                               array core's scan visited (0 on the
+                               incremental fast path, which scans none)
 ``detector.races``             races recorded (post-dedup)
 ``detector.bag_unions``        union-find merges in the ESP-bags forest
 ``dpst.nodes``                 S-DPST nodes created
@@ -25,6 +28,9 @@ Canonical counter names used by the pipeline:
 ``replay.accesses``            int-coded accesses replayed
 ``repair.iterations``          detect/place/edit rounds executed
 ``repair.edits``               finish insertion points applied
+``repair.edits_deferred``      distinct proposed edits minus accepted ones
+``repair.step_run_merges``     dependence graphs wider than ``max_nodes``
+                               merged by the conservative fallback
 ``repair.replay_fallbacks``    replays abandoned for re-execution
 ``repair.dp_cells``            placement-DP cells filled (ranges of 2+)
 ``repair.dp_cells_edge_free``  of those, cells with no edge inside (O(1))

@@ -17,7 +17,9 @@ the per-location access summary:
 
 ``tests/test_arraycore.py`` holds the array core to these detectors:
 the same race report, S-DPST, bag-union and access counts, for both
-variants, over the bench and student corpora.
+variants, over the bench and student corpora.  The array core scans only
+the accesses to addresses two or more tasks touch;
+:func:`shared_addresses` is the per-access oracle of that set.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.dpst.nodes import DpstNode
 from repro.lang import ast
 from repro.races.bags import BagManager
 from repro.races.report import DataRace, RaceReport
+from repro.runtime.recorder import K_ENTER_ASYNC, K_EXIT_ASYNC
 
 _IMPLICIT_FINISH = "implicit-root-finish"
 
@@ -316,3 +319,26 @@ def make_detector(algorithm: str):
     if algorithm == "mrw":
         return MrwEspBagsDetector()
     raise ValueError(f"unknown detector algorithm {algorithm!r}")
+
+
+def shared_addresses(trace) -> set:
+    """The addresses of ``trace`` that two or more tasks touch, found by
+    walking every event and every access with an explicit task stack —
+    the unoptimized oracle of the array core's ownership pre-pass."""
+    tasks_of: Dict[Any, set] = {}
+    stack = [0]
+    fresh = 0
+    kinds = trace.kinds
+    starts = trace.starts
+    n = len(trace.acodes)
+    for j, kind in enumerate(kinds):
+        if kind == K_ENTER_ASYNC:
+            fresh += 1
+            stack.append(fresh)
+        elif kind == K_EXIT_ASYNC:
+            stack.pop()
+        hi = starts[j + 1] if j + 1 < len(kinds) else n
+        for i in range(starts[j], hi):
+            addr = trace.addr_table[trace.acodes[i] >> 1]
+            tasks_of.setdefault(addr, set()).add(stack[-1])
+    return {addr for addr, tasks in tasks_of.items() if len(tasks) > 1}

@@ -9,6 +9,12 @@ producers: the live first run (``"0"``) and a replay of that run's
 recorded trace (``"1"``).  These tests enforce that over the Table-1
 bench corpus and the student-homework corpus, mirroring how
 test_compiled_engine.py pins the two execution engines to each other.
+
+The core scans only accesses to *shared* addresses (touched by two or
+more tasks); the reference scans every access.  ``TestOwnershipFilter``
+holds the filter to the reference on named shapes and generated
+programs, and to the per-access ownership oracle
+``tests.esp_reference.shared_addresses``.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
 
 from repro.bench.students import (
     MATCHED_TEMPLATES,
@@ -27,6 +34,7 @@ from repro.bench.students import (
 from repro.bench.suite import BENCHMARK_ORDER, get_benchmark
 from repro.dpst.tree import Dpst
 from repro.lang import parse, strip_finishes
+from repro.lang.transform import insert_finish
 from repro.races import (
     ALGORITHMS,
     ArrayMrwDetector,
@@ -34,8 +42,10 @@ from repro.races import (
     detect_races,
 )
 from repro.races.replay import replay_detection
+from repro.repair import RepairEngine
 from tests.conftest import build
-from tests.esp_reference import make_detector
+from tests.esp_reference import make_detector, shared_addresses
+from tests.test_properties import _SETTINGS, programs
 from tests.test_replay import dpst_sig, norm_report
 
 #: the array core's producers: "0" = live first run, "1" = replay of
@@ -222,9 +232,14 @@ class TestArrayCoreBehavior:
             norm_report(detection.report)
 
     def test_srw_shadow_is_constant_space(self):
-        detection = detect_races(build(self.RACY), algorithm="srw")
-        assert detection.detector.shadow
-        for entry in detection.detector.shadow.values():
+        # The scan keeps summaries for the shared addresses only, each a
+        # constant 4 slots.
+        detection = detect_races(build(self.RACY), algorithm="srw",
+                                 record_trace=True)
+        shadow = detection.detector.shadow
+        assert shadow
+        assert set(shadow) == shared_addresses(detection.trace)
+        for entry in shadow.values():
             assert len(entry) == 4
 
     def test_payload_races_are_report_rows(self):
@@ -232,6 +247,153 @@ class TestArrayCoreBehavior:
         payload = detection.to_payload()
         assert payload["races"] == detection.report.to_rows()
         assert payload["race_count"] == len(payload["races"])
+
+
+#: named shapes for the ownership filter: which addresses two or more
+#: tasks touch decides which accesses the scan visits.
+OWNERSHIP = {
+    # x is written by main and read by its child (racy: main writes it
+    # again after the spawn); the child's local y stays unshared.
+    "main-writes-child-reads": """
+    def main() {
+        var x = 0;
+        x = 1;
+        async { var y = x; print(y); }
+        x = 2;
+    }
+    """,
+    # x, a and both elements are shared, and the finish joins both
+    # siblings before main reads them back: shared but race-free.
+    "siblings-under-finish": """
+    def main() {
+        var x = 5;
+        var a = new int[2];
+        finish {
+            async { a[0] = x; }
+            async { a[1] = x; }
+        }
+        print(a[0] + a[1]);
+    }
+    """,
+    # Main uses x for 200 iterations; the child touches it only at the
+    # end, which makes every one of those accesses shared.
+    "long-stretch-then-child": """
+    def main() {
+        var x = 0;
+        for (var i = 0; i < 200; i = i + 1) { x = x + i; }
+        async { x = x + 1; }
+        print(x);
+    }
+    """,
+    # Every call's local is a fresh cell of one task; only the global
+    # and the parameters a spawned child reads are shared.
+    "recursive-fresh-locals": """
+    var out = new int[64];
+    def f(n, k) {
+        var local = n * 2;
+        if (n > 0) {
+            async { f(n - 1, 2 * k); }
+            f(n - 1, 2 * k + 1);
+        }
+        out[k] = local + 1;
+    }
+    def main() {
+        finish { f(4, 1); }
+        print(out[1]);
+    }
+    """,
+}
+
+#: shared-address counts of the named shapes, by hand: x; x, a, a[0],
+#: a[1]; x; the global out plus n and k of the 15 calls that spawn.
+OWNERSHIP_SHARED = {
+    "main-writes-child-reads": 1,
+    "siblings-under-finish": 4,
+    "long-stretch-then-child": 1,
+    "recursive-fresh-locals": 31,
+}
+
+#: a finish wrapped around the middle statement splits main's step run.
+SPLIT_RUN = """
+def main() {
+    var x = 0;
+    async { x = 1; }
+    x = x + 1;
+    x = x + 2;
+    x = x + 3;
+}
+"""
+
+
+def assert_filter_exact(array, obj, trace):
+    """``array`` (the core, on ``trace``) equals ``obj`` (the reference)
+    and scanned exactly the accesses to the oracle's shared addresses."""
+    assert detection_sig(array) == detection_sig(obj)
+    shared = shared_addresses(trace)
+    table = trace.addr_table
+    assert array.detector.scanned_accesses == sum(
+        1 for code in trace.acodes if table[code >> 1] in shared)
+    assert set(array.detector.shadow) == shared
+
+
+class TestOwnershipFilter:
+    @pytest.mark.parametrize("producer", PRODUCERS)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("name", sorted(OWNERSHIP))
+    def test_named_shape(self, name, algorithm, producer):
+        program = build(OWNERSHIP[name])
+        first = detect_races(program, algorithm=algorithm,
+                             record_trace=True)
+        trace = first.trace
+        array = first if producer == "0" else replay_detection(
+            trace, program, algorithm=algorithm)
+        obj = detect_races(program, detector=make_detector(algorithm))
+        assert_filter_exact(array, obj, trace)
+        assert len(shared_addresses(trace)) == OWNERSHIP_SHARED[name]
+        assert array.detector.scanned_accesses == \
+            first.detector.scanned_accesses
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_races_only_where_expected(self, algorithm):
+        racy = {"main-writes-child-reads", "long-stretch-then-child"}
+        for name, source in OWNERSHIP.items():
+            report = detect_races(build(source), algorithm=algorithm).report
+            assert report.is_race_free == (name not in racy), name
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_replay_with_finish_splitting_a_step_run(self, algorithm):
+        program = build(SPLIT_RUN)
+        first = detect_races(program, algorithm=algorithm,
+                             record_trace=True)
+        main_block = program.functions["main"].body
+        insert_finish(program, main_block.nid, 3, 3)
+        replayed = replay_detection(first.trace, program,
+                                    algorithm=algorithm)
+        obj = detect_races(program, detector=make_detector(algorithm))
+        assert_filter_exact(replayed, obj, first.trace)
+        # The finish split main's step: a finish node and two steps more.
+        assert replayed.dpst_node_count == first.dpst_node_count + 3
+
+    @given(source=programs())
+    @_SETTINGS
+    def test_generated_programs_match_reference(self, source):
+        # First run, then the replay of one repair iteration's edit,
+        # against the reference on the edited program.
+        for algorithm in ALGORITHMS:
+            program = parse(source)
+            first = detect_races(program, algorithm=algorithm,
+                                 record_trace=True)
+            obj = detect_races(program, detector=make_detector(algorithm))
+            assert_filter_exact(first, obj, first.trace)
+            if first.report.is_race_free:
+                continue
+            edited = RepairEngine(algorithm=algorithm, max_iterations=1,
+                                  reuse_trace=False).repair(
+                                      program).repaired
+            replayed = replay_detection(first.trace, edited,
+                                        algorithm=algorithm)
+            obj = detect_races(edited, detector=make_detector(algorithm))
+            assert_filter_exact(replayed, obj, first.trace)
 
 
 #: detect, then an MRW and an SRW repair (with replay and incremental

@@ -10,6 +10,7 @@ from repro.races import detect_races
 from repro.repair import repair_program
 from repro.repair.dependence import group_races_by_nslca
 from tests.conftest import build
+from tests.esp_reference import shared_addresses
 
 
 class TestProblemStatement:
@@ -85,9 +86,15 @@ class TestSection2Examples:
 
 class TestSection4Claims:
     def test_srw_summary_is_constant_space(self, figure7_source):
-        # "each location's access summary requires O(1) space"
-        detection = detect_races(build(figure7_source), algorithm="srw")
-        for entry in detection.detector.shadow.values():
+        # "each location's access summary requires O(1) space" — kept
+        # for exactly the locations two or more tasks touch, the only
+        # ones the scan visits.
+        detection = detect_races(build(figure7_source), algorithm="srw",
+                                 record_trace=True)
+        shadow = detection.detector.shadow
+        assert shadow
+        assert set(shadow) == shared_addresses(detection.trace)
+        for entry in shadow.values():
             # one writer slot + one reader slot + two cached clock ints:
             # constant per location, regardless of how many accesses hit it
             assert len(entry) == 4

@@ -14,9 +14,10 @@ tree afterwards on the array core (:mod:`repro.races.arraycore`).  The
 builder has two roles left.  It builds structure-only trees
 (:func:`repro.graph.structure_dpst`, for ``measure``, Figure 16 and
 ``repro dot --view graph``), where building inline measures faster than
-recording and materializing.  And it drives detectors that need the
-tree while the program runs: the vector-clock baseline, the MHP oracle,
-and the object ESP-bags reference the tests hold the array core to.
+recording and materializing.  And it drives a caller's ``detector=`` in
+:func:`repro.races.detect_races`, which needs the tree while the program
+runs: the MHP oracle, and the test oracles (the object ESP-bags
+reference and the vector-clock detector) the array core is held to.
 """
 
 from __future__ import annotations

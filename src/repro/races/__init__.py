@@ -10,7 +10,6 @@ from .bags import BagManager, P_BAG, S_BAG
 from .detect import DetectionResult, detect_races
 from .oracle import OracleDetector
 from .replay import replay_detection
-from .vectorclock import VectorClockDetector
 from .report import DataRace, RaceReport, addr_to_str, merge_reports
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "addr_to_str",
     "merge_reports",
     "OracleDetector",
-    "VectorClockDetector",
     "ArrayMrwDetector",
     "ArraySrwDetector",
     "run_arraycore",

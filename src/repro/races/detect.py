@@ -12,9 +12,9 @@ Two paths:
   as it executes (no observer call per access), then S-DPST maintenance
   and bag transitions run over the flat arrays in batch
   (:mod:`repro.races.arraycore`).
-* The vector-clock baseline (``"vc"``) and a caller-supplied
-  ``detector=`` (a :class:`~repro.dpst.builder.DetectorBase` with a
-  ``report()`` method, such as the MHP oracle) run inline:
+* A caller-supplied ``detector=`` (a
+  :class:`~repro.dpst.builder.DetectorBase` with a ``report()`` method,
+  such as the MHP oracle) runs inline:
   :class:`~repro.dpst.builder.DpstBuilder` drives the detector's hooks
   during the run.
 """
@@ -32,7 +32,6 @@ from ..lang import ast
 from ..runtime.interpreter import ExecutionResult, Interpreter
 from .arraycore import ALGORITHMS
 from .report import RaceReport
-from .vectorclock import VectorClockDetector
 
 
 def _harvest_counters(execution: ExecutionResult, node_count: int,
@@ -144,29 +143,26 @@ def detect_races(program: ast.Program, args: Sequence[Any] = (),
 
     ``algorithm`` selects ``"mrw"`` (default, complete in one run) or
     ``"srw"`` (the original single reader-writer ESP-bags), both on the
-    array core, or ``"vc"`` (the vector-clock baseline).  A caller may
-    instead pass a pre-built ``detector`` (e.g. the MHP oracle); it and
-    ``"vc"`` run under ``DpstBuilder`` (module docstring); any other
-    ``algorithm`` raises ``ValueError``.  With ``record_trace=True`` the
-    run additionally records an execution trace (``result.trace``) that
-    :func:`~repro.races.replay.replay_detection` can re-detect from after
-    finish insertions, without re-executing the program; only the array
-    core records, so it raises ``ValueError`` together with a custom
-    ``detector`` or ``"vc"``.  With ``incremental=True``
+    array core; any other ``algorithm`` raises ``ValueError``.  A caller
+    may instead pass a pre-built ``detector`` (e.g. the MHP oracle); it
+    runs under ``DpstBuilder`` (module docstring).  With
+    ``record_trace=True`` the run additionally records an execution trace
+    (``result.trace``) that :func:`~repro.races.replay.replay_detection`
+    can re-detect from after finish insertions, without re-executing the
+    program; only the array core records, so it raises ``ValueError``
+    together with a custom ``detector``.  With ``incremental=True``
     (``record_trace`` only) the result additionally carries the
     ``inc_state`` baseline that incremental replay re-detects against.
     """
-    if detector is None and algorithm in ALGORITHMS:
-        return _detect_races_array(program, args, algorithm, seed,
-                                   max_ops, record_trace, incremental)
+    if detector is None:
+        if algorithm in ALGORITHMS:
+            return _detect_races_array(program, args, algorithm, seed,
+                                       max_ops, record_trace, incremental)
+        raise ValueError(f"unknown detector algorithm {algorithm!r}")
     if record_trace:
         raise ValueError(
             "record_trace needs the array core: pass algorithm='mrw' or "
             "'srw' and no custom detector")
-    if detector is None:
-        if algorithm != "vc":
-            raise ValueError(f"unknown detector algorithm {algorithm!r}")
-        detector = VectorClockDetector()
     start = time.perf_counter()
     with telemetry.span("detect_races", algorithm=algorithm,
                         record_trace=False, core="object"):

@@ -12,7 +12,7 @@ statically-known points:
   first recorded statement inside each new finish ``F``;
 * a matching ``exit_finish`` after its last recorded statement (or at the
   enclosing scope/async/finish exit when control leaves the block there);
-* cost re-attribution: the engines flush accrued cost lazily, and a new
+* cost re-attribution: the engine flushes accrued cost lazily, and a new
   finish boundary is a flush point the recorded run did not have.  The
   recorder stores the pending cost at every statement boundary, and
   replay keeps a *debt* counter — cost flushed early at an injected

@@ -20,12 +20,12 @@ needs to re-run — the paper's step 3(e)/3(f) incremental-update role,
 realized as trace replay (see :mod:`repro.races.replay`).  MRW replays
 are incremental against the previous iteration's rows
 (:mod:`repro.races.incremental`), behind a cost guard that falls back to
-a full replay.  When replay is unavailable (an unsupported detector, or
-a trace/program mismatch raising ``ReplayError``) the engine falls back
-to full re-execution, which keeps every iteration's placements computed
-against ground truth.  ``RepairEngine(reuse_trace=False)`` and
-``RepairEngine(incremental=False)`` select those reference paths; the
-tests use them to check that every path gives the same repair.
+a full replay.  When replay is unavailable (a trace/program mismatch
+raising ``ReplayError``) the engine falls back to full re-execution,
+which keeps every iteration's placements computed against ground truth.
+``RepairEngine(reuse_trace=False)`` and ``RepairEngine(incremental=False)``
+select those reference paths; the tests use them to check that every
+path gives the same repair.
 """
 
 from __future__ import annotations
@@ -193,14 +193,16 @@ class RepairEngine:
                  incremental: bool = True) -> None:
         if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown detector algorithm {algorithm!r}; "
+                             f"choose from {ALGORITHMS}")
         self.algorithm = algorithm
         self.max_iterations = max_iterations
         self.seed = seed
         self.max_ops = max_ops
         #: record the iteration-0 execution and replay it for every later
-        #: re-detection instead of re-executing (only the ESP-bags
-        #: detectors support replay; anything else re-executes).
-        self.reuse_trace = bool(reuse_trace) and algorithm in ALGORITHMS
+        #: re-detection instead of re-executing.
+        self.reuse_trace = bool(reuse_trace)
         #: re-detect incrementally against the previous iteration's
         #: race rows instead of re-scanning the whole trace (requires
         #: replay and the MRW detector — SRW rows cannot be transformed;

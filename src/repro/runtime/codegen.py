@@ -4,9 +4,10 @@ The production engine lowers each mini-HJ function to one Python
 function, generates the whole program's source text once, and runs
 ``compile``/``exec`` on it -- the interpreter-side counterpart of the
 paper's PIR instrumentation pass, which compiles a monitoring call into
-every access.  The engine's contract is observable equivalence with the
-tree interpreter in :mod:`repro.runtime.interpreter`: the same output,
-value and ``ops``, and the same observer events (DESIGN.md section 6).
+every access.  It is the only engine.  Its contract is observable
+equivalence with a direct AST walk, kept as the reference interpreter in
+``tests/tree_reference.py``: the same output, value and ``ops``, and the
+same observer events (DESIGN.md section 6).
 
 Lowering:
 

@@ -3,8 +3,8 @@
 The instrumented run's expensive part is per-access work: every monitored
 access pays interpreter dispatch *and* builder/detector work.  The
 array-compiled detection core lowers that work onto flat int streams
-recorded here by :class:`TraceBuffer`, an observer that does nothing but
-append the packed encoding as the engine executes.  ``detect_races`` runs
+recorded here by :class:`TraceBuffer`, which the engine's generated code
+fills with the packed encoding as it executes.  ``detect_races`` runs
 the engine with a ``TraceBuffer`` and then performs S-DPST maintenance
 and ESP-bags detection in batch over the arrays
 (:mod:`repro.races.arraycore`).
@@ -39,8 +39,6 @@ from __future__ import annotations
 
 from operator import sub
 from typing import Any, List
-
-from .interpreter import ExecutionObserver
 
 #: Control-event opcodes.
 K_START = -1
@@ -133,31 +131,23 @@ class ExecutionTrace:
                 f"addrs={len(self.addr_table)})")
 
 
-class TraceBuffer(ExecutionObserver):
-    """Observer that *only* records the packed encoding of a run.
+class TraceBuffer:
+    """The packed encoding of one run, as the engine records it.
 
     This is the array core's first-run producer: per monitored access it
-    records one code and one node — no S-DPST node, no shadow-memory
+    holds one code and one node — no S-DPST node, no shadow-memory
     entry, no detector call.  The batch consumer
     (:mod:`repro.races.arraycore`) does all of that afterwards, over the
     flat arrays.
 
-    The generated engine (:mod:`repro.runtime.codegen`) never calls the
-    hooks: its code appends into the buffer's lists directly and records
-    control events for :meth:`close_events`.  The hooks serve the tree
-    engine.  They are installed as *instance attributes* — closures
-    built in ``__init__`` that capture the arrays and their bound
-    ``append`` methods directly, removing every per-call ``self.``
-    lookup.  The engine's pending-cost hook arrives (via
-    :meth:`bind_pending_cost`) *after* the engine has already bound
-    ``at_statement``, so the closure reads it through a one-slot cell
-    rather than being rebuilt.
+    Passed to :class:`~repro.runtime.interpreter.Interpreter` in place of
+    an observer, it is filled by the generated engine
+    (:mod:`repro.runtime.codegen`) itself: the engine's code appends the
+    accesses into the buffer's lists directly and records the control
+    events for :meth:`close_events`.  It has no observer hooks.
     """
 
     def __init__(self) -> None:
-        # The engine's accrued-cost probe; rebound in place so closures
-        # built before bind_pending_cost still see the real hook.
-        self._pending_cell = [lambda: 0]
         # Control-event arrays, opened with the virtual K_START segment
         # so accesses before the first real event (e.g. main's argument
         # binding) have a home.
@@ -176,99 +166,6 @@ class TraceBuffer(ExecutionObserver):
         # where ``flushed`` is the cost flushed so far; close_events
         # derives the control arrays from them once after the run.
         self._events: List[Any] = []
-        self._install_hooks()
-
-    # ------------------------------------------------------------------
-
-    def bind_pending_cost(self, pending) -> None:
-        self._pending_cell[0] = pending
-
-    def _install_hooks(self) -> None:
-        """Build the per-event closures and install them as instance
-        attributes (shadowing the interface methods)."""
-        pending_cell = self._pending_cell
-        kinds_append = self._kinds.append
-        payloads_append = self._payloads.append
-        pends_append = self._pends.append
-        starts_append = self._starts.append
-        segcosts = self._segcosts
-        segcosts_append = segcosts.append
-        acodes = self._acodes
-        acodes_append = acodes.append
-        anodes_append = self._anodes.append
-        addr_ids = self._addr_ids
-        addr_get = addr_ids.get
-        addr_table = self._addr_table
-        table_append = addr_table.append
-
-        def event(kind, payload, pend=0):
-            kinds_append(kind)
-            payloads_append(payload)
-            pends_append(pend)
-            starts_append(len(acodes))
-            segcosts_append(0)
-
-        def at_statement(stmt_nid):
-            kinds_append(K_AT)
-            payloads_append(stmt_nid)
-            pends_append(pending_cell[0]())
-            starts_append(len(acodes))
-            segcosts_append(0)
-
-        def read(addr, node):
-            aid = addr_get(addr)
-            if aid is None:
-                aid = len(addr_table)
-                addr_ids[addr] = aid
-                table_append(addr)
-            acodes_append(aid << 1)
-            anodes_append(node)
-
-        def write(addr, node):
-            aid = addr_get(addr)
-            if aid is None:
-                aid = len(addr_table)
-                addr_ids[addr] = aid
-                table_append(addr)
-            acodes_append(aid << 1 | 1)
-            anodes_append(node)
-
-        def add_cost(units):
-            segcosts[-1] += units
-
-        def cost_read(units, addr, node):
-            aid = addr_get(addr)
-            if aid is None:
-                aid = len(addr_table)
-                addr_ids[addr] = aid
-                table_append(addr)
-            acodes_append(aid << 1)
-            anodes_append(node)
-            segcosts[-1] += units
-
-        def cost_write(units, addr, node):
-            aid = addr_get(addr)
-            if aid is None:
-                aid = len(addr_table)
-                addr_ids[addr] = aid
-                table_append(addr)
-            acodes_append(aid << 1 | 1)
-            anodes_append(node)
-            segcosts[-1] += units
-
-        self.at_statement = at_statement
-        self.enter_async = lambda stmt: event(K_ENTER_ASYNC, stmt)
-        self.exit_async = lambda: event(K_EXIT_ASYNC, None)
-        self.enter_finish = lambda stmt: event(K_ENTER_FINISH, stmt)
-        self.exit_finish = lambda: event(K_EXIT_FINISH, None)
-        self.enter_scope = lambda kind, construct_nid, block_nid: \
-            event(K_ENTER_SCOPE, (kind, construct_nid, block_nid))
-        self.exit_scope = lambda: event(K_EXIT_SCOPE, None)
-        self.read = read
-        self.write = write
-        self.add_cost = add_cost
-        self.cost_read = cost_read
-        self.cost_write = cost_write
 
     def close_events(self, flushed: int) -> None:
         """Append the control arrays of the generated engine's recorded

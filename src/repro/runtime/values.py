@@ -43,20 +43,6 @@ def reset_ids() -> None:
     _ids = itertools.count(1)
 
 
-class Cell:
-    """A single variable binding with a unique address."""
-
-    __slots__ = ("value", "addr", "name")
-
-    def __init__(self, name: str, value: Any = None) -> None:
-        self.name = name
-        self.value = value
-        self.addr: Address = ("cell", _fresh_id())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Cell({self.name}={self.value!r})"
-
-
 class ArrayValue:
     """A fixed-length mutable array.
 

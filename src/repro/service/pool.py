@@ -31,8 +31,8 @@ scripts, ``python -c``, notebooks and the REPL alike — and worker
 startup is cheap enough to respawn after every crash or timeout kill.
 The initial workers are forked before the dispatcher thread exists, so
 the usual fork-with-threads hazards apply only to replacement workers,
-which run a self-contained loop over an inherited pipe.
-``REPRO_POOL_START`` overrides for debugging.
+which run a self-contained loop over an inherited pipe.  Where fork is
+unavailable (Windows), workers are spawned.
 """
 
 from __future__ import annotations
@@ -54,13 +54,8 @@ from .jobs import Job, JobResult
 
 
 def _pick_start_method() -> str:
-    override = os.environ.get("REPRO_POOL_START", "").strip()
+    """``fork`` where the platform has it, otherwise ``spawn``."""
     methods = multiprocessing.get_all_start_methods()
-    if override:
-        if override not in methods:
-            raise ValueError(f"REPRO_POOL_START={override!r} is not one of "
-                             f"{methods}")
-        return override
     return "fork" if "fork" in methods else "spawn"
 
 

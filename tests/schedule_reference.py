@@ -3,7 +3,9 @@
 The paper's footnote 1: *"Since the repaired program is data-race-free,
 it has the same semantics for all memory models."*  The analyses all run
 on the canonical depth-first schedule; this module executes a program
-under *other* legal serial schedules so tests can observe the claim:
+under *other* legal serial schedules on the tree-walking reference
+interpreter (``tests/tree_reference.py``), so tests can observe the
+claim:
 
 * a **deferred** schedule runs an ``async`` body not at its spawn point
   but later — tasks queue up in the innermost enclosing finish and run,
@@ -23,11 +25,11 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence
 
-from ..errors import RuntimeFault
-from ..lang import ast
-from .builtins import DeterministicRng
-from .env import Environment
-from .interpreter import ExecutionResult, Interpreter
+from repro.errors import RuntimeFault
+from repro.lang import ast
+from repro.runtime.builtins import DeterministicRng
+from repro.runtime.interpreter import ExecutionResult, Interpreter
+from tests.tree_reference import Environment, TreeInterpreter
 
 
 class _PendingTask:
@@ -38,7 +40,7 @@ class _PendingTask:
         self.env = env
 
 
-class DeferredScheduleInterpreter(Interpreter):
+class DeferredScheduleInterpreter(TreeInterpreter):
     """Runs asyncs deferred, in a seeded-random legal order.
 
     Each active finish owns a queue of pending tasks; spawning appends to
@@ -56,10 +58,9 @@ class DeferredScheduleInterpreter(Interpreter):
     def __init__(self, program: ast.Program, schedule_seed: int = 1,
                  seed: int = 20140609,
                  max_ops: int = 200_000_000) -> None:
-        # This subclass reorders execution by overriding _exec_stmt, so it
-        # must run on the tree engine.
-        super().__init__(program, observer=None, seed=seed, max_ops=max_ops,
-                         engine="tree")
+        # This subclass reorders execution by overriding the walker's
+        # _exec_stmt.
+        super().__init__(program, observer=None, seed=seed, max_ops=max_ops)
         self._schedule_rng = DeterministicRng(schedule_seed ^ 0xD1CE)
         self._queues: List[List[_PendingTask]] = [[]]
 

@@ -3,11 +3,14 @@ identical to the tree-walking interpreter.
 
 The engine's contract (DESIGN.md section 6) is that for any program and
 input it produces the same output lines, final value and ``ops`` count as
-the tree interpreter, and the same observations:
+the tree interpreter (``tests/tree_reference.py``), and the same
+observations:
 
 * with a :class:`TraceBuffer` (the packed template, which appends into
   the buffer's lists) a bit-identical packed trace -- every control and
-  access array, the address table, and the access nodes by identity;
+  access array, the address table, and the access nodes by identity --
+  against the walker's :class:`HookTraceBuffer`, which writes the control
+  arrays event by event instead of through ``close_events``;
 * with any other observer (the hooks template) the same sequence of
   observer calls.
 
@@ -35,10 +38,12 @@ from repro.runtime.recorder import TraceBuffer
 from repro.runtime.values import reset_ids, to_display
 from tests.conftest import build
 from tests.test_properties import programs
+from tests.tree_reference import HookTraceBuffer, TreeInterpreter
 
-#: Production runs use the generated engine; the tree walker is reached
-#: only through the ``Interpreter(engine=...)`` argument.
+#: The reference walker and the product's generated engine.
 ENGINES = ("tree", "compiled")
+INTERPRETERS = {"tree": TreeInterpreter, "compiled": Interpreter}
+RECORDERS = {"tree": HookTraceBuffer, "compiled": TraceBuffer}
 
 #: the packed trace's arrays, compared element for element
 TRACE_FIELDS = ("kinds", "pends", "starts", "segcosts", "acodes",
@@ -46,8 +51,7 @@ TRACE_FIELDS = ("kinds", "pends", "starts", "segcosts", "acodes",
 
 
 def run_on(engine, program, args=(), observer=None, max_ops=200_000_000):
-    return Interpreter(program, observer, max_ops=max_ops,
-                       engine=engine).run(args)
+    return INTERPRETERS[engine](program, observer, max_ops=max_ops).run(args)
 
 
 class RecordingObserver(ExecutionObserver):
@@ -132,7 +136,7 @@ def assert_packed_identical(program, args, label):
     """The packed template: the same result and a bit-identical trace."""
     runs = {}
     for engine in ENGINES:
-        buffer = TraceBuffer()
+        buffer = RECORDERS[engine]()
         runs[engine] = (outcome(engine, program, args, buffer),
                         buffer.trace())
     (tree, tree_trace), (gen, gen_trace) = runs["tree"], runs["compiled"]
@@ -201,7 +205,7 @@ class TestBenchCorpus:
         # then ESP-bags on the array core), run on each engine.
         reports = {}
         for engine in ENGINES:
-            buffer = TraceBuffer()
+            buffer = RECORDERS[engine]()
             execution = run_on(engine, strip_finishes(spec.parse()),
                                spec.test_args, buffer)
             run = run_arraycore(buffer.trace(), algorithm)
@@ -472,23 +476,37 @@ class TestLimits:
     def test_small_step_limit_stops_near_limit(self, engine):
         # max_ops far below the old 4096-op check interval: the run must
         # stop at (not thousands of ops past) the cap.
-        interp = Interpreter(build(self.LOOP), max_ops=100, engine=engine)
+        interp = INTERPRETERS[engine](build(self.LOOP), max_ops=100)
         with pytest.raises(StepLimitExceeded):
             interp.run(())
         assert 100 <= interp.ops <= 110
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_limit_not_exceeded_by_interval(self, engine):
-        interp = Interpreter(build(self.LOOP), max_ops=5000, engine=engine)
+        interp = INTERPRETERS[engine](build(self.LOOP), max_ops=5000)
         with pytest.raises(StepLimitExceeded):
             interp.run(())
         assert 5000 <= interp.ops <= 5010
 
 
 class TestEngineSelection:
-    def test_default_engine_is_compiled(self):
-        assert Interpreter(build("def main() {}")).engine == "compiled"
+    """The product has one engine: ``Interpreter`` always runs generated
+    code, and there is no argument to pick another."""
+
+    def test_default_engine_is_compiled(self, monkeypatch):
+        calls = []
+        real = codegen.run_generated
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(codegen, "run_generated", counting)
+        program = build("def main() { print(1); }")
+        assert Interpreter(program).run(()).output == ["1"]
+        assert calls == [program]
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            Interpreter(build("def main() {}"), engine="jit")
+        for engine in ("tree", "compiled", "jit"):
+            with pytest.raises(TypeError, match="engine"):
+                Interpreter(build("def main() {}"), engine=engine)

@@ -10,7 +10,8 @@ limit and ended as ``internal`` errors.  At ``d = 20000`` the execution
 itself outgrew the interpreter's recursion headroom, and a
 ``RecursionError`` ended as ``internal`` too.  Calls now nest at most
 ``MAX_CALL_DEPTH`` deep: the call past it is a ``runtime`` fault with a
-call-depth message, at the same call in both engines.
+call-depth message, at the same call in the generated engine and the
+tree-walking reference (``tests/tree_reference.py``).
 """
 
 import threading
@@ -29,6 +30,10 @@ from repro.runtime.interpreter import (
     on_own_stack,
 )
 from repro.service.jobs import Job, run_job
+from tests.tree_reference import TreeInterpreter
+
+#: The product's generated engine and the tree-walking reference.
+INTERPRETERS = {"compiled": Interpreter, "tree": TreeInterpreter}
 
 DEEP_SOURCE = """\
 var x = 0;
@@ -121,7 +126,7 @@ class _Scopes(ExecutionObserver):
 
 def _run_deep(engine, d):
     observer = _Scopes()
-    interpreter = Interpreter(parse(DEEP_SOURCE), observer, engine=engine)
+    interpreter = INTERPRETERS[engine](parse(DEEP_SOURCE), observer)
     try:
         interpreter.run([d])
     except RuntimeFault as fault:
@@ -131,7 +136,7 @@ def _run_deep(engine, d):
 
 @pytest.mark.parametrize("engine", ["compiled", "tree"])
 def test_too_deep_run_faults_in_both_engines(engine):
-    interpreter = Interpreter(parse(DEEP_SOURCE), engine=engine)
+    interpreter = INTERPRETERS[engine](parse(DEEP_SOURCE))
     with pytest.raises(RuntimeFault, match="maximum call depth exceeded"):
         interpreter.run([TOO_DEEP])
 
@@ -166,6 +171,6 @@ def test_own_stack_returns_and_raises():
 
 @pytest.mark.parametrize("engine", ["compiled", "tree"])
 def test_deep_run_on_own_stack(engine):
-    interpreter = Interpreter(parse(DEEP_SOURCE), engine=engine)
+    interpreter = INTERPRETERS[engine](parse(DEEP_SOURCE))
     result = on_own_stack(interpreter.run, [DEPTH])
     assert result.output == ["2"]

@@ -227,6 +227,27 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             RepairEngine(max_iterations=0)
 
+    @pytest.mark.parametrize("algorithm", ["vc", "bogus", "MRW", None])
+    def test_unknown_algorithm_rejected_up_front(self, algorithm,
+                                                 monkeypatch):
+        # Rejected at construction, before any detection runs: an unknown
+        # name must not silently turn replay or incremental re-detection
+        # off, nor fail only at the first detection.
+        import repro.repair.engine as engine_mod
+
+        def no_detection(*args, **kwargs):
+            raise AssertionError("detection ran")
+
+        monkeypatch.setattr(engine_mod, "detect_races", no_detection)
+        racy = build("var x = 0; def main() { async { x = 1; } print(x); }")
+        for call in (lambda: RepairEngine(algorithm=algorithm),
+                     lambda: repair_program(racy, algorithm=algorithm),
+                     lambda: repair_for_inputs(racy, [()],
+                                               algorithm=algorithm)):
+            with pytest.raises(ValueError,
+                               match="unknown detector algorithm"):
+                call()
+
     def test_racy_loop_condition_still_repairable(self):
         # Even when the loop condition itself reads racy data, the tool
         # can serialize inside the loop body (a finish around each spawn),

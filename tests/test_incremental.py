@@ -317,7 +317,8 @@ def test_incremental_env_toggle(monkeypatch):
     # (or not MRW) — no incremental, regardless of the flag.
     assert not RepairEngine(reuse_trace=False, incremental=True).incremental
     assert not RepairEngine(algorithm="srw", incremental=True).incremental
-    assert not RepairEngine(algorithm="vc", incremental=True).incremental
+    with pytest.raises(ValueError, match="unknown detector algorithm"):
+        RepairEngine(algorithm="vc", incremental=True)
 
 
 def test_cli_incremental_flags(tmp_path):

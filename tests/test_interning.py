@@ -9,8 +9,13 @@ The array core's correctness hangs on two recorder invariants:
   is_write``) decodes back to precisely the ``(addr, kind)`` sequence
   the observer saw.
 
-Both are checked on :class:`~repro.runtime.recorder.TraceBuffer`, the
-array core's live first-run producer, whose traces also feed replay.
+The synthetic scripts drive the observer hooks of
+``tests.tree_reference.HookTraceBuffer``, the tree walker's recorder;
+``tests/test_compiled_engine.py`` holds the generated engine's packed
+traces (address table included) element for element to that recorder's.
+The live-run tests below check the product's own
+:class:`~repro.runtime.recorder.TraceBuffer` traces, which also feed
+replay.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from hypothesis import given, settings, strategies as st
 from repro.lang import parse
 from repro.races import detect_races
 from repro.races.replay import replay_detection
-from repro.runtime.recorder import TraceBuffer
 from tests.esp_reference import MrwEspBagsDetector
+from tests.tree_reference import HookTraceBuffer
 
 # ----------------------------------------------------------------------
 # Synthetic access scripts: the three real address shapes, built fresh
@@ -76,13 +81,13 @@ class TestPackedEncoding:
     @given(script=_accesses, boundaries=_boundaries)
     @settings(max_examples=60, deadline=None)
     def test_decode_is_exact_inverse(self, script, boundaries):
-        trace = _drive(TraceBuffer(), script, boundaries)
+        trace = _drive(HookTraceBuffer(), script, boundaries)
         assert trace.decode_accesses() == _expected_sequence(script)
 
     @given(script=_accesses, boundaries=_boundaries)
     @settings(max_examples=60, deadline=None)
     def test_interning_is_stable_and_dense(self, script, boundaries):
-        trace = _drive(TraceBuffer(), script, boundaries)
+        trace = _drive(HookTraceBuffer(), script, boundaries)
         # One table entry per distinct address value, however many
         # aliased tuple objects carried it ...
         distinct = []
@@ -100,7 +105,7 @@ class TestPackedEncoding:
         """Reversing the script permutes first-seen id assignment; the
         decode must still be exact for the permuted stream."""
         reverse = list(reversed(script))
-        trace = _drive(TraceBuffer(), reverse, set())
+        trace = _drive(HookTraceBuffer(), reverse, set())
         assert trace.decode_accesses() == _expected_sequence(reverse)
 
 

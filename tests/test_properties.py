@@ -184,7 +184,7 @@ class TestRepairProperties:
         # Footnote 1 of the paper, checked empirically: the race-free
         # repaired program behaves identically under random legal
         # schedules that differ from the canonical depth-first one.
-        from repro.runtime import check_determinism
+        from tests.schedule_reference import check_determinism
 
         program = parse(source)
         result = repair_program(program, max_iterations=25)

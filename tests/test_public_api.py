@@ -34,11 +34,24 @@ class TestSubpackageSurfaces:
         )
 
     def test_runtime(self):
+        import repro.runtime
         from repro.runtime import (  # noqa: F401
-            Interpreter, run_program, check_determinism, run_deferred,
-            BUILTIN_NAMES, ArrayValue, StructValue, DeterministicRng,
-            ExecutionTrace,
+            Interpreter, run_program, BUILTIN_NAMES, ArrayValue,
+            StructValue, DeterministicRng, ExecutionTrace,
         )
+
+        # The tree walker's environments and the schedule explorer are
+        # test oracles (tests/tree_reference.py,
+        # tests/schedule_reference.py), not product exports.
+        assert sorted(repro.runtime.__all__) == sorted([
+            "BUILTIN_NAMES", "BUILTINS", "BuiltinContext",
+            "DeterministicRng", "ExecutionObserver", "ExecutionResult",
+            "Interpreter", "run_program", "ExecutionTrace", "Address",
+            "ArrayValue", "StructValue", "to_display"])
+        for name in ("Environment", "Cell", "DeferredScheduleInterpreter",
+                     "DeterminismReport", "check_determinism",
+                     "run_deferred"):
+            assert not hasattr(repro.runtime, name), name
 
     def test_dpst(self):
         from repro.dpst import (  # noqa: F401
@@ -50,23 +63,24 @@ class TestSubpackageSurfaces:
         import repro.races
         from repro.races import (  # noqa: F401
             ALGORITHMS, detect_races, DataRace, RaceReport,
-            OracleDetector, VectorClockDetector, ArrayMrwDetector,
-            ArraySrwDetector, run_arraycore, replay_detection,
-            DetectionResult,
+            OracleDetector, ArrayMrwDetector, ArraySrwDetector,
+            run_arraycore, replay_detection, DetectionResult,
         )
 
         assert ALGORITHMS == ("mrw", "srw")
         # One ESP-bags implementation: the array core.  The object
-        # detectors live in tests/esp_reference.py, and there is no
+        # detectors live in tests/esp_reference.py, the vector-clock
+        # detector in tests/vectorclock_reference.py, and there is no
         # detection-core selector.
         assert sorted(repro.races.__all__) == sorted([
             "ALGORITHMS", "BagManager", "S_BAG", "P_BAG", "DataRace",
             "RaceReport", "addr_to_str", "merge_reports", "OracleDetector",
-            "VectorClockDetector", "ArrayMrwDetector", "ArraySrwDetector",
+            "ArrayMrwDetector", "ArraySrwDetector",
             "run_arraycore", "DetectionResult", "detect_races",
             "replay_detection"])
         for name in ("EspBagsDetector", "SrwEspBagsDetector",
-                     "MrwEspBagsDetector", "make_detector", "CORES"):
+                     "MrwEspBagsDetector", "make_detector", "CORES",
+                     "VectorClockDetector"):
             assert not hasattr(repro.races, name), name
 
     def test_graph(self):
@@ -105,18 +119,36 @@ class TestSubpackageSurfaces:
 
     def test_runtime_has_no_engine_selector(self):
         import repro.runtime
+        from repro.lang import parse
+        from repro.runtime.recorder import TraceBuffer
 
-        # Production runs use the compiled engine; only the
-        # Interpreter(engine=...) argument reaches the tree walker.
+        # One engine, the generated one: no selector anywhere, and the
+        # tree walker (tests/tree_reference.py) is unreachable from src.
         for name in ("ENGINES", "set_default_engine", "get_default_engine"):
             assert not hasattr(repro.runtime, name), name
+        assert not hasattr(repro.runtime.interpreter, "_ENGINES")
+        with pytest.raises(TypeError):
+            repro.runtime.Interpreter(parse("def main() {}"), engine="tree")
+        # No walker state on the product's interpreter...
+        interp = repro.runtime.Interpreter(parse("def main() {}"))
+        for name in ("engine", "globals_env", "_pending_cost",
+                     "_call_depth", "_next_check", "_elements", "_obs_at"):
+            assert not hasattr(interp, name), name
+        # ...and no hooks on the packed recorder or the observer base.
+        assert not issubclass(TraceBuffer, repro.runtime.ExecutionObserver)
+        for name in ("bind_pending_cost", "_install_hooks", "at_statement",
+                     "read", "write", "cost_read", "cost_write"):
+            assert not hasattr(TraceBuffer(), name), name
+        assert not hasattr(repro.runtime.ExecutionObserver,
+                           "bind_pending_cost")
 
 
 class TestConfigurationSurface:
     def test_repro_environment_names(self):
         """Every ``REPRO_*`` environment name the program and its scripts
-        mention: tracing, the pool start method and the server token.
-        None of them selects an execution path."""
+        mention: tracing, the node id and the server token.  None of them
+        selects an execution path (the pool's start method follows the
+        platform)."""
         import os
         import re
 
@@ -131,7 +163,7 @@ class TestConfigurationSurface:
                             names.update(re.findall(r"\bREPRO_([A-Z_]+)",
                                                     handle.read()))
         assert names == {"NODE_ID", "TRACELOG", "TRACELOG_LEVEL",
-                         "POOL_START", "AUTH_TOKEN"}
+                         "AUTH_TOKEN"}
 
     @pytest.mark.parametrize("verb", [[], ["repair"], ["batch"],
                                       ["queue", "submit"]])

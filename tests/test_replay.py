@@ -302,8 +302,10 @@ def test_replay_env_toggle(monkeypatch):
     assert RepairEngine(algorithm="srw").reuse_trace
     # The seam the differential tests use to reach re-execution.
     assert not RepairEngine(reuse_trace=False).reuse_trace
-    # The vector-clock detector cannot replay.
-    assert not RepairEngine(algorithm="vc").reuse_trace
+    # Only the ESP-bags algorithms exist; nothing else silently turns
+    # replay off.
+    with pytest.raises(ValueError, match="unknown detector algorithm"):
+        RepairEngine(algorithm="vc")
 
 
 def test_cli_replay_flags(tmp_path, capsys):

@@ -1,17 +1,21 @@
-"""Runtime value machinery: cells, arrays, structs, display, RNG, env."""
+"""Runtime value machinery: cells, arrays, structs, display, RNG, env.
+
+Cells and environments belong to the tree-walking reference interpreter
+(``tests/tree_reference.py``); the generated engine keeps variables in
+Python locals.
+"""
 
 import pytest
 
 from repro.errors import RuntimeFault
 from repro.runtime import (
     ArrayValue,
-    Cell,
     DeterministicRng,
-    Environment,
     StructValue,
     to_display,
 )
 from repro.runtime.values import default_fill
+from tests.tree_reference import Cell, Environment
 
 
 class TestAddresses:

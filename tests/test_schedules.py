@@ -12,11 +12,8 @@ from repro.lang import strip_finishes
 from repro.races import detect_races
 from repro.repair import repair_program
 from repro.runtime import run_program
-from repro.runtime.schedules import (
-    check_determinism,
-    run_deferred,
-)
 from tests.conftest import build
+from tests.schedule_reference import check_determinism, run_deferred
 
 RACY = """
 var x = 0;

@@ -251,6 +251,37 @@ class TestPoolApi:
         assert stats["jobs_per_sec"] > 0
 
 
+def _without_timings(payload):
+    """``payload`` minus its wall-clock fields (keys ending in ``_s``)."""
+    if isinstance(payload, dict):
+        return {key: _without_timings(value)
+                for key, value in payload.items() if not key.endswith("_s")}
+    if isinstance(payload, list):
+        return [_without_timings(value) for value in payload]
+    return payload
+
+
+class TestStartMethod:
+    def test_spawned_workers_match_in_process_run(self, monkeypatch):
+        # Where fork is unavailable the pool spawns its workers; they
+        # re-import repro and must compute exactly what run_job does here.
+        from repro.service import pool as pool_mod
+
+        monkeypatch.setattr(pool_mod, "_pick_start_method", lambda: "spawn")
+        jobs = [Job("repair", RACY, source_name="repair.hj"),
+                Job("detect", RACY, source_name="detect.hj")]
+        with WorkerPool(workers=1) as pool:
+            assert pool._ctx.get_start_method() == "spawn"
+            pooled = {job.source_name: result
+                      for _, job, result in pool.run(jobs)}
+        for job in jobs:
+            expected = run_job(job)
+            got = pooled[job.source_name]
+            assert got.status == expected.status == "ok", got.error
+            assert _without_timings(got.result) == \
+                _without_timings(expected.result), job.source_name
+
+
 class TestPoolTelemetry:
     def test_phase_histograms_and_snapshots(self):
         cache = ResultCache()

@@ -1,15 +1,21 @@
-"""The vector-clock baseline detector: agreement with MRW ESP-bags."""
+"""The vector-clock baseline detector (``tests/vectorclock_reference.py``):
+agreement with MRW ESP-bags."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.races import VectorClockDetector, detect_races
+from repro.races import detect_races
 from tests.conftest import build
 from tests.test_properties import programs
+from tests.vectorclock_reference import VectorClockDetector
 
 
-def detect(source: str, args=(), algorithm="vc"):
-    return detect_races(build(source), args, algorithm=algorithm)
+def detect_vc(program, args=()):
+    return detect_races(program, args, detector=VectorClockDetector())
+
+
+def detect(source: str, args=()):
+    return detect_vc(build(source), args)
 
 
 class TestHappensBefore:
@@ -100,7 +106,7 @@ class TestAgreementWithMrw:
     @pytest.mark.parametrize("source", CASES)
     def test_vc_equals_mrw(self, source):
         program = build(source)
-        vc = detect_races(program, algorithm="vc")
+        vc = detect_vc(program)
         mrw = detect_races(program, algorithm="mrw")
         assert {r.step_pair() for r in vc.report} == \
             {r.step_pair() for r in mrw.report}
@@ -111,7 +117,7 @@ class TestAgreementWithMrw:
     def test_vc_equals_mrw_property(self, source):
         from repro.lang import parse
         program = parse(source)
-        vc = detect_races(program, algorithm="vc")
+        vc = detect_vc(program)
         mrw = detect_races(program, algorithm="mrw")
         assert {r.step_pair() for r in vc.report} == \
             {r.step_pair() for r in mrw.report}
@@ -121,7 +127,7 @@ class TestAgreementWithMrw:
         from repro.lang import strip_finishes
         spec = get_benchmark("quicksort")
         buggy = strip_finishes(spec.parse())
-        vc = detect_races(buggy, spec.test_args, algorithm="vc")
+        vc = detect_vc(buggy, spec.test_args)
         mrw = detect_races(buggy, spec.test_args, algorithm="mrw")
         assert {r.step_pair() for r in vc.report} == \
             {r.step_pair() for r in mrw.report}

@@ -7,7 +7,9 @@ constant-space bags algorithms.  This module implements the vector-clock
 approach over the same sequential depth-first replay, both as an
 independent detector (a third implementation to cross-check ESP-bags
 against) and as a baseline whose per-access cost grows with the number of
-tasks — the comparison the bags algorithms exist to win.
+tasks — the comparison the bags algorithms exist to win.  It is a test
+oracle: ``detect_races(program, detector=VectorClockDetector())`` runs
+it under :class:`~repro.dpst.builder.DpstBuilder`.
 
 Happens-before for async/finish:
 
@@ -26,10 +28,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..dpst.builder import DetectorBase
-from ..dpst.nodes import DpstNode
-from ..lang import ast
-from .report import DataRace, RaceReport
+from repro.dpst.builder import DetectorBase
+from repro.dpst.nodes import DpstNode
+from repro.lang import ast
+from repro.races.report import DataRace, RaceReport
 
 VClock = Dict[int, int]
 

@@ -19,7 +19,7 @@ Every node carries:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 ASYNC = "async"
 FINISH = "finish"
@@ -54,7 +54,9 @@ class DpstNode:
         #: For scope nodes: "call", "if", "else", "loop" or "block".
         self.scope_kind = scope_kind
         #: For step nodes: ordered ids of the top-level statements covered.
-        self.anchors: List[int] = []
+        #: Other kinds cover none and share one empty tuple, which saves
+        #: a list per interior node.
+        self.anchors: Sequence[int] = [] if kind == STEP else ()
         #: For step nodes: accumulated execution time units.
         self.cost = 0
         #: Optional human-readable tag for debugging and reports.

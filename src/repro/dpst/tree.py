@@ -4,7 +4,7 @@ operations the repair algorithms need (Definitions 3-5 and Theorem 1).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import RepairError
 from .nodes import ASYNC, FINISH, SCOPE, STEP, DpstNode
@@ -96,7 +96,8 @@ class Dpst:
             f"no non-scope node between {ancestor.describe()} and "
             f"{descendant.describe()}")
 
-    def non_scope_children(self, node: DpstNode) -> List[DpstNode]:
+    @staticmethod
+    def non_scope_children(node: DpstNode) -> List[DpstNode]:
         """All non-scope children of ``node``, in left-to-right order.
 
         Scope children are transparent: their own non-scope children are
@@ -111,6 +112,16 @@ class Dpst:
             else:
                 result.append(child)
         return result
+
+    @staticmethod
+    def completion(node: DpstNode,
+                   cache: Optional[Dict[int, Tuple[int, int]]] = None) -> int:
+        """Completion time (span) of ``node``'s subtree, memoized in
+        ``cache`` by node index
+        (:func:`~repro.graph.computation.subtree_completion`)."""
+        from ..graph.computation import subtree_completion
+
+        return subtree_completion(node, cache)
 
     # ------------------------------------------------------------------
     # May-happen-in-parallel (Theorem 1)

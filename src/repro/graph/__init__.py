@@ -5,6 +5,7 @@ from typing import Any, Sequence
 from .. import telemetry
 from ..dpst.builder import DpstBuilder
 from ..dpst.tree import Dpst
+from ..gcpause import gc_paused
 from ..lang import ast
 from ..runtime.interpreter import Interpreter
 from .computation import ComputationGraph, span_parts, subtree_completion
@@ -35,7 +36,9 @@ def structure_dpst(program: ast.Program, args: Sequence[Any] = (),
         Interpreter(program, builder, seed=seed, max_ops=max_ops).run(args)
     with telemetry.span("dpst"):
         dpst = builder.finish()
-    telemetry.counter("dpst.nodes", builder.node_count())
+    nodes = builder.node_count()
+    telemetry.counter("dpst.nodes", nodes)
+    telemetry.counter("dpst.materialized", nodes)
     return dpst
 
 
@@ -50,7 +53,7 @@ def measure_program(program: ast.Program, args: Sequence[Any] = (),
     ``keep_timeline`` the result records each step's processor placement
     (see :func:`~repro.graph.schedule.greedy_schedule`).
     """
-    with telemetry.span("measure", processors=processors):
+    with gc_paused(), telemetry.span("measure", processors=processors):
         dpst = structure_dpst(program, args, seed=seed, max_ops=max_ops)
         with telemetry.span("graph"):
             graph = ComputationGraph.from_dpst(dpst)

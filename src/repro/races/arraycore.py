@@ -11,10 +11,13 @@ of that work *afterwards*, over the flat arrays:
 
 * **S-DPST maintenance in arrays** — node kind/parent/anchor/cost live in
   parallel lists keyed by node index; ``DpstNode`` objects are
-  materialized lazily.  Reporting materializes only the racy steps and
-  their ancestor chains; the full tree is built on first ``.dpst``
-  access (reusing those nodes), and a race-free confirming run never
-  builds any.
+  materialized only where they are read.  Reporting builds the racy
+  steps and their ancestor chains.  The repair path reads subtree
+  times from one reverse-preorder sweep (:meth:`_DpstArrays.spans`) and
+  builds each NS-LCA's region (:meth:`ArrayDetection.non_scope_children`),
+  never the full tree.  That is built only on a read of
+  ``DetectionResult.dpst``, reusing every node built before; a
+  race-free confirming run builds none.
 * **Shared accesses only** — an ownership pre-pass (:func:`shared_ordinals`,
   once per trace) finds the addresses two or more tasks touch; only
   accesses to those can race, so the scan visits nothing else.
@@ -51,12 +54,12 @@ and student corpora.
 
 from __future__ import annotations
 
-import gc
 from bisect import bisect_left
 from itertools import compress, repeat
 from operator import itemgetter, rshift
 from typing import Any, Dict, List, Optional, Tuple
 
+from .. import telemetry
 from ..dpst.nodes import ASYNC, FINISH, SCOPE, STEP, DpstNode
 from ..dpst.tree import Dpst
 from ..runtime.recorder import (
@@ -97,12 +100,22 @@ class _DpstArrays:
 
     __slots__ = ("kind", "parent", "anchor", "block", "construct", "scope",
                  "cost", "anchors", "count", "stack", "anchor_stack",
-                 "cur_anchor", "cur_step", "nodes")
+                 "cur_anchor", "cur_step", "nodes", "built", "wired",
+                 "_spans")
 
     def __init__(self) -> None:
         #: lazily-created node memo (index -> DpstNode or None); shared
-        #: by partial materialization (``node_at``) and the full pass.
+        #: by partial materialization (``node_at``, ``wire``) and the
+        #: full pass.
         self.nodes: Optional[List[Optional[DpstNode]]] = None
+        #: ``DpstNode`` objects built so far (the ``dpst.materialized``
+        #: counter).
+        self.built = 0
+        #: indices of the nodes whose ``children`` lists are complete;
+        #: ``None`` once the full pass has completed every node.
+        self.wired: Optional[set] = set()
+        self._spans: Optional[Tuple[List[int], List[int], List[int],
+                                    List[int]]] = None
         # Index 0 is the root main task, mirroring DpstBuilder.__init__.
         self.kind: List[str] = [ASYNC]
         self.parent: List[int] = [-1]
@@ -169,15 +182,73 @@ class _DpstArrays:
         a = self.cur_anchor
         if step == -1:
             step = self._new(STEP, a, None, None)
-            self.anchors[step] = [a] if a is not None else []
             self.cur_step = step
         elif a is not None:
+            # A step's first statement is its ``anchor``; the list exists
+            # only once a second one arrives, so single-statement steps
+            # allocate no object.
             lst = self.anchors[step]
-            if not lst or lst[-1] != a:
-                lst.append(a)
-                if self.anchor[step] is None:
+            if lst is not None:
+                if lst[-1] != a:
+                    lst.append(a)
+            else:
+                first = self.anchor[step]
+                if first is None:
                     self.anchor[step] = a
+                elif first != a:
+                    self.anchors[step] = [first, a]
         return step
+
+    # -- subtree spans ------------------------------------------------
+
+    def spans(self) -> Tuple[List[int], List[int], List[int], List[int]]:
+        """``(advance, completion, first_child, next_sibling)``, one list
+        entry per node index, from one memoized reverse-preorder sweep.
+
+        ``advance``/``completion`` equal :func:`~repro.graph.computation.
+        span_parts` of the materialized node (DESIGN.md §5, sweep lemma);
+        the two link lists (``-1`` for none) give each node's children in
+        sibling order without building a ``DpstNode``.
+        """
+        spans = self._spans
+        if spans is None:
+            spans = self._spans = self._sweep()
+        return spans
+
+    def _sweep(self) -> Tuple[List[int], List[int], List[int], List[int]]:
+        n = self.count + 1
+        kinds = self.kind
+        parents = self.parent
+        costs = self.cost
+        # While the sweep is right of node p's children, adv[p] is the
+        # sum of the advances of p's children seen so far and comp[p] the
+        # completion of that sibling suffix, timed from its start.  A
+        # child's children all have larger indices, so a node is final
+        # when the sweep reaches it, and siblings arrive right to left.
+        adv = [0] * n
+        comp = [0] * n
+        first = [-1] * n
+        nxt = [-1] * n
+        for i in range(n - 1, 0, -1):
+            kind = kinds[i]
+            if kind is STEP:
+                a = c = adv[i] = comp[i] = costs[i]
+            else:
+                c = comp[i]
+                if kind is ASYNC:
+                    a = adv[i] = 0
+                elif kind is FINISH:
+                    a = adv[i] = c
+                else:  # scope: its children's summed advance
+                    a = adv[i]
+            p = parents[i]
+            nxt[i] = first[p]
+            first[p] = i
+            c2 = a + comp[p]
+            comp[p] = c if c > c2 else c2
+            adv[p] += a
+        adv[0] = 0  # the root is the main task, an async
+        return adv, comp, first, nxt
 
     # -- materialization ----------------------------------------------
 
@@ -189,6 +260,7 @@ class _DpstArrays:
             nodes = [None] * (self.count + 1)
             nodes[0] = root
             self.nodes = nodes
+            self.built += 1
         return nodes
 
     def _make(self, i: int, parent: DpstNode) -> DpstNode:
@@ -197,17 +269,18 @@ class _DpstArrays:
                         self.construct[i], self.scope[i])
         if kind is STEP:
             lst = self.anchors[i]
-            if lst:
+            if lst is not None:
                 node.anchors = lst
+            elif self.anchor[i] is not None:
+                node.anchors.append(self.anchor[i])
             node.cost = self.cost[i]
         return node
 
     def node_at(self, i: int) -> DpstNode:
         """Materialize node ``i`` and its ancestor chain only — parents
-        wired (LCA walks work), ``children`` deferred to the full pass.
-        This is what reporting needs: a race report holds step nodes and
-        the placement passes climb parent pointers; nothing touches
-        ``children`` before asking for the whole tree."""
+        wired (LCA walks work), ``children`` deferred to :meth:`wire` or
+        the full pass.  This is what reporting needs: a race report holds
+        step nodes and the placement passes climb parent pointers."""
         nodes = self._ensure_nodes()
         node = nodes[i]
         if node is not None:
@@ -220,16 +293,57 @@ class _DpstArrays:
         node = nodes[i]
         for j in reversed(chain):
             node = nodes[j] = self._make(j, node)
+        self.built += len(chain)
         return node
 
-    def materialize(self) -> Tuple[Dpst, List[DpstNode]]:
+    def wire(self, i: int) -> int:
+        """Complete the ``children`` lists of the *region* of the already
+        built node ``i``: ``i`` itself and the scopes reachable from it
+        through scopes only, whose children are built directly under
+        them.  Returns the number of nodes built.
+
+        The region is all that VALID and FIND read below an NS-LCA
+        (DESIGN.md §5); the non-scope children stay childless until they
+        are wired as a region of their own or the full pass runs.  A
+        wired node is never wired again.
+        """
+        nodes = self._ensure_nodes()
+        wired = self.wired
+        if wired is None or i in wired:
+            return 0
+        first, nxt = self.spans()[2:]
+        kinds = self.kind
+        make = self._make
+        built = 0
+        todo = [i]
+        while todo:
+            p = todo.pop()
+            wired.add(p)
+            parent = nodes[p]
+            children = parent.children
+            c = first[p]
+            while c != -1:
+                child = nodes[c]
+                if child is None:
+                    child = nodes[c] = make(c, parent)
+                    built += 1
+                children.append(child)
+                if kinds[c] is SCOPE:
+                    todo.append(c)
+                c = nxt[c]
+        self.built += built
+        return built
+
+    def materialize(self) -> Dpst:
         """Build the full object tree, in one pass over the arrays.
 
-        Reuses any nodes ``node_at`` already created (so report steps
-        stay identity-shared with the tree) and wires every ``children``
-        list in index order — which is sibling order, because indices
-        are creation order and the build is depth-first.  Must run at
-        most once per arrays instance (:class:`ArrayDetection` caches).
+        Reuses any nodes ``node_at`` and ``wire`` already created (so
+        report steps stay identity-shared with the tree) and appends
+        every node to its parent's ``children`` in index order — which
+        is sibling order, because indices are creation order and the
+        build is depth-first — unless the parent is already wired.  Must
+        run at most once per arrays instance (:class:`ArrayDetection`
+        caches).
         """
         nodes = self._ensure_nodes()
         kinds = self.kind
@@ -240,22 +354,30 @@ class _DpstArrays:
         scope = self.scope
         costs = self.cost
         anchors = self.anchors
+        wired = self.wired
         new = DpstNode
+        built = 0
         for i in range(1, self.count + 1):
             node = nodes[i]
-            parent = nodes[parents[i]]
+            p = parents[i]
             if node is None:
                 kind = kinds[i]
-                node = new(kind, i, parent, anchor[i], block[i],
+                node = new(kind, i, nodes[p], anchor[i], block[i],
                            construct[i], scope[i])
                 if kind is STEP:
                     lst = anchors[i]
-                    if lst:
+                    if lst is not None:
                         node.anchors = lst
+                    elif anchor[i] is not None:
+                        node.anchors.append(anchor[i])
                     node.cost = costs[i]
                 nodes[i] = node
-            parent.children.append(node)
-        return Dpst(nodes[0]), nodes
+                built += 1
+            if p not in wired:
+                nodes[p].children.append(node)
+        self.wired = None
+        self.built += built
+        return Dpst(nodes[0])
 
 
 # ----------------------------------------------------------------------
@@ -687,8 +809,26 @@ def _shared_ordinals(trace: ExecutionTrace) -> List[int]:
 # ----------------------------------------------------------------------
 
 class ArrayDetection:
-    """One completed array-core pass: race rows, array S-DPST, and the
-    lazy materialization the consumers share."""
+    """One completed array-core pass: race rows, the array S-DPST, and
+    the two ways consumers read the tree.
+
+    * The *flat tree view* — :meth:`ns_lca`, :meth:`non_scope_child_toward`,
+      :meth:`non_scope_children` and :meth:`completion`, the queries the
+      placement path makes.  It builds ``DpstNode`` objects only for the
+      report's steps (with their ancestor chains) and for the region of
+      each NS-LCA it is asked about; subtree times come from the arrays'
+      span sweep.
+    * The full object tree, :meth:`materialize` (``--dot``, tests and the
+      public ``DetectionResult.dpst``), which reuses every node the view
+      built.
+
+    Every ``DpstNode`` built is added to the ``dpst.materialized``
+    counter: the report's by the detection harvest, the rest here.
+    """
+
+    #: the structural queries that only climb parent pointers.
+    ns_lca = staticmethod(Dpst.ns_lca)
+    non_scope_child_toward = staticmethod(Dpst.non_scope_child_toward)
 
     def __init__(self, detector, arrays: _DpstArrays,
                  bags: Optional[BagManager] = None) -> None:
@@ -702,13 +842,20 @@ class ArrayDetection:
         #: total S-DPST nodes, known without materializing the tree.
         self.node_count = arrays.count + 1
         self._dpst: Optional[Dpst] = None
-        self._nodes: Optional[List[DpstNode]] = None
         self._report: Optional[RaceReport] = None
+
+    @property
+    def materialized(self) -> int:
+        """``DpstNode`` objects built so far for this run."""
+        return self._arrays.built
 
     def materialize(self) -> Dpst:
         """The object S-DPST (built on first call, then cached)."""
         if self._dpst is None:
-            self._dpst, self._nodes = self._arrays.materialize()
+            before = self._arrays.built
+            self._dpst = self._arrays.materialize()
+            telemetry.counter("dpst.materialized",
+                              self._arrays.built - before)
         return self._dpst
 
     def report(self) -> RaceReport:
@@ -723,11 +870,19 @@ class ArrayDetection:
                 self._report = RaceReport([])
         return self._report
 
-    def dpst_handle(self):
-        """The tree if already materialized, else a zero-arg factory —
-        what :class:`~repro.races.detect.DetectionResult` stores so
-        race-free detections defer materialization entirely."""
-        return self._dpst if self._dpst is not None else self.materialize
+    def non_scope_children(self, node: DpstNode) -> List[DpstNode]:
+        """:meth:`Dpst.non_scope_children` of ``node``, a node this view
+        returned, after wiring the region below it."""
+        built = self._arrays.wire(node.index)
+        if built:
+            telemetry.counter("dpst.materialized", built)
+        return Dpst.non_scope_children(node)
+
+    def completion(self, node: DpstNode, cache=None) -> int:
+        """The completion time of ``node``'s subtree, read from the span
+        sweep (``cache`` is accepted for :meth:`Dpst.completion`'s
+        signature and unused)."""
+        return self._arrays.spans()[1][node.index]
 
 
 def run_arraycore(trace: ExecutionTrace, algorithm: str,
@@ -806,137 +961,126 @@ def run_arraycore(trace: ExecutionTrace, algorithm: str,
     has_chains = bool(chains)
     chains_get = chains.get if chains else None
 
-    # Same rationale as the object path: the batch allocates long-lived
-    # tree rows and shadow summaries at a steady rate; generational GC
-    # re-traversals would dominate, and nothing here needs cycle
-    # collection mid-run.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        for j in range(n_events):
-            kind = kinds[j]
-            if run_hi and kind != K_AT:
-                # Every other event pushes or pops, ending the step:
-                # scan the pending run before any bag transition.
-                nxt = segment(run_hi, run_step, tasks[-1])
-                run_hi = 0
-            if kind == K_AT:
-                nid = payloads[j]
-                if has_chains:
-                    target = chains_get(nid, _EMPTY)
-                    if target is not cur:
-                        if run_hi:
-                            nxt = segment(run_hi, run_step, tasks[-1])
-                            run_hi = 0
-                        pend = pends[j]
-                        common = 0
-                        len_cur = len(cur)
-                        len_target = len(target)
-                        while (common < len_cur and common < len_target
-                               and cur[common] is target[common]):
-                            common += 1
-                        if common < len_cur:
-                            # Close the divergent suffix, flushing cost
-                            # accrued since the last flush *inside* the
-                            # innermost finish first — exactly where the
-                            # engine's exit-time flush would put it.
-                            flush = pend - debt
-                            if flush > 0:
-                                costs[seg_step()] += flush
-                                debt = pend
-                            for _ in range(len_cur - common):
-                                pop()
-                                finish_ends(finish_keys.pop(), tasks[-1])
-                        for fi in range(common, len_target):
-                            fstmt = target[fi]
-                            arrays.cur_anchor = fstmt.nid
-                            flush = pend - debt
-                            if flush > 0:
-                                costs[seg_step()] += flush
-                                debt = pend
-                            idx = enter_finish(fstmt)
-                            register_finish(idx)
-                            finish_keys.append(idx)
-                        cur = target
-                arrays.cur_anchor = nid
-            elif kind == K_ENTER_ASYNC:
-                idx = enter_async(payloads[j])
-                tasks.append(idx)
-                make_s_bag(idx)
-                frames.append(cur)
-                cur = _EMPTY
-            elif kind == K_EXIT_ASYNC:
-                for _ in range(len(cur)):
-                    pop()
-                    finish_ends(finish_keys.pop(), tasks[-1])
-                cur = frames.pop()
-                pop()
-                task_ends(tasks.pop(), finish_keys[-1])
-            elif kind == K_ENTER_SCOPE:
-                scope_kind, construct_nid, block_nid = payloads[j]
-                enter_scope(scope_kind, construct_nid, block_nid)
-                frames.append(cur)
-                cur = _EMPTY
-            elif kind == K_EXIT_SCOPE:
-                for _ in range(len(cur)):
-                    pop()
-                    finish_ends(finish_keys.pop(), tasks[-1])
-                cur = frames.pop()
-                pop()
-            elif kind == K_ENTER_FINISH:
-                idx = enter_finish(payloads[j])
-                register_finish(idx)
-                finish_keys.append(idx)
-                frames.append(cur)
-                cur = _EMPTY
-            elif kind == K_EXIT_FINISH:
-                for _ in range(len(cur)):
-                    pop()
-                    finish_ends(finish_keys.pop(), tasks[-1])
-                cur = frames.pop()
+    for j in range(n_events):
+        kind = kinds[j]
+        if run_hi and kind != K_AT:
+            # Every other event pushes or pops, ending the step:
+            # scan the pending run before any bag transition.
+            nxt = segment(run_hi, run_step, tasks[-1])
+            run_hi = 0
+        if kind == K_AT:
+            nid = payloads[j]
+            if has_chains:
+                target = chains_get(nid, _EMPTY)
+                if target is not cur:
+                    if run_hi:
+                        nxt = segment(run_hi, run_step, tasks[-1])
+                        run_hi = 0
+                    pend = pends[j]
+                    common = 0
+                    len_cur = len(cur)
+                    len_target = len(target)
+                    while (common < len_cur and common < len_target
+                           and cur[common] is target[common]):
+                        common += 1
+                    if common < len_cur:
+                        # Close the divergent suffix, flushing cost
+                        # accrued since the last flush *inside* the
+                        # innermost finish first — exactly where the
+                        # engine's exit-time flush would put it.
+                        flush = pend - debt
+                        if flush > 0:
+                            costs[seg_step()] += flush
+                            debt = pend
+                        for _ in range(len_cur - common):
+                            pop()
+                            finish_ends(finish_keys.pop(), tasks[-1])
+                    for fi in range(common, len_target):
+                        fstmt = target[fi]
+                        arrays.cur_anchor = fstmt.nid
+                        flush = pend - debt
+                        if flush > 0:
+                            costs[seg_step()] += flush
+                            debt = pend
+                        idx = enter_finish(fstmt)
+                        register_finish(idx)
+                        finish_keys.append(idx)
+                    cur = target
+            arrays.cur_anchor = nid
+        elif kind == K_ENTER_ASYNC:
+            idx = enter_async(payloads[j])
+            tasks.append(idx)
+            make_s_bag(idx)
+            frames.append(cur)
+            cur = _EMPTY
+        elif kind == K_EXIT_ASYNC:
+            for _ in range(len(cur)):
                 pop()
                 finish_ends(finish_keys.pop(), tasks[-1])
-            # else: K_START — the virtual opening event, no bookkeeping.
-
-            # The segment: accesses and cost between this control event
-            # and the next.  Step and anchor are loop-invariant here, so
-            # one seg_step() does the builder bookkeeping; a segment
-            # holding a shared access joins its step's pending run.
-            lo = starts[j]
-            hi = starts[j + 1] if j + 1 < n_events else n_accesses
-            cost = segcosts[j]
-            if debt and cost:
-                take = cost if debt > cost else debt
-                cost -= take
-                debt -= take
-            if hi > lo:
-                step = seg_step()
-                if cost:
-                    costs[step] += cost
-                if nxt < hi:
-                    run_hi = hi
-                    run_step = step
-                if soe_append is not None:
-                    soe_append(step)
-            else:
-                if cost:
-                    costs[seg_step()] += cost
-                if soe_append is not None:
-                    soe_append(-1)
-        if run_hi:
-            segment(run_hi, run_step, tasks[-1])
-        # Defensive: a well-formed trace closes every scope, so no
-        # injected finish can still be open here.
-        for _ in range(len(cur)):  # pragma: no cover - unreachable
+            cur = frames.pop()
+            pop()
+            task_ends(tasks.pop(), finish_keys[-1])
+        elif kind == K_ENTER_SCOPE:
+            scope_kind, construct_nid, block_nid = payloads[j]
+            enter_scope(scope_kind, construct_nid, block_nid)
+            frames.append(cur)
+            cur = _EMPTY
+        elif kind == K_EXIT_SCOPE:
+            for _ in range(len(cur)):
+                pop()
+                finish_ends(finish_keys.pop(), tasks[-1])
+            cur = frames.pop()
+            pop()
+        elif kind == K_ENTER_FINISH:
+            idx = enter_finish(payloads[j])
+            register_finish(idx)
+            finish_keys.append(idx)
+            frames.append(cur)
+            cur = _EMPTY
+        elif kind == K_EXIT_FINISH:
+            for _ in range(len(cur)):
+                pop()
+                finish_ends(finish_keys.pop(), tasks[-1])
+            cur = frames.pop()
             pop()
             finish_ends(finish_keys.pop(), tasks[-1])
-        # DpstBuilder.finish(): close the main task.
-        arrays.cur_step = -1
-        task_ends(tasks.pop(), finish_keys[-1])
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+        # else: K_START — the virtual opening event, no bookkeeping.
+
+        # The segment: accesses and cost between this control event
+        # and the next.  Step and anchor are loop-invariant here, so
+        # one seg_step() does the builder bookkeeping; a segment
+        # holding a shared access joins its step's pending run.
+        lo = starts[j]
+        hi = starts[j + 1] if j + 1 < n_events else n_accesses
+        cost = segcosts[j]
+        if debt and cost:
+            take = cost if debt > cost else debt
+            cost -= take
+            debt -= take
+        if hi > lo:
+            step = seg_step()
+            if cost:
+                costs[step] += cost
+            if nxt < hi:
+                run_hi = hi
+                run_step = step
+            if soe_append is not None:
+                soe_append(step)
+        else:
+            if cost:
+                costs[seg_step()] += cost
+            if soe_append is not None:
+                soe_append(-1)
+    if run_hi:
+        segment(run_hi, run_step, tasks[-1])
+    # Defensive: a well-formed trace closes every scope, so no
+    # injected finish can still be open here.
+    for _ in range(len(cur)):  # pragma: no cover - unreachable
+        pop()
+        finish_ends(finish_keys.pop(), tasks[-1])
+    # DpstBuilder.finish(): close the main task.
+    arrays.cur_step = -1
+    task_ends(tasks.pop(), finish_keys[-1])
 
     if detector is not None:
         detector.monitored_accesses = n_accesses

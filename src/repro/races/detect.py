@@ -17,32 +17,42 @@ Two paths:
   such as the MHP oracle) runs inline:
   :class:`~repro.dpst.builder.DpstBuilder` drives the detector's hooks
   during the run.
+
+Either path runs inside one :func:`~repro.gcpause.gc_paused` window: the
+run allocates long-lived structures at a steady rate, and a cyclic
+collection among them would only re-traverse live objects.  Inside a
+repair the window is a no-op, since the repair holds the pause.
 """
 
 from __future__ import annotations
 
-import gc
 import time
 from typing import Any, Optional, Sequence
 
 from .. import telemetry
 from ..dpst.builder import DetectorBase, DpstBuilder
 from ..dpst.tree import Dpst
+from ..gcpause import gc_paused
 from ..lang import ast
 from ..runtime.interpreter import ExecutionResult, Interpreter
-from .arraycore import ALGORITHMS
+from .arraycore import ALGORITHMS, ArrayDetection
 from .report import RaceReport
 
 
 def _harvest_counters(execution: ExecutionResult, node_count: int,
-                      detector, report: RaceReport) -> None:
+                      materialized: int, detector,
+                      report: RaceReport) -> None:
     """Copy the run's always-on aggregates into the active telemetry
     session, once per detection.  The per-access observer path makes no
     telemetry calls — these totals are maintained by the runtime anyway.
+    ``materialized`` is the ``DpstNode`` objects the detection built
+    (all of them on the ``DpstBuilder`` path; the report's on the array
+    core, whose placement queries add their own later).
     """
     telemetry.counter("runtime.ops", execution.ops)
     telemetry.counter("runtime.output_lines", len(execution.output))
     telemetry.counter("dpst.nodes", node_count)
+    telemetry.counter("dpst.materialized", materialized)
     telemetry.counter("detector.races", len(report))
     accesses = getattr(detector, "monitored_accesses", None)
     if accesses is not None:
@@ -58,16 +68,21 @@ def _harvest_counters(execution: ExecutionResult, node_count: int,
 class DetectionResult:
     """Everything one instrumented execution produced."""
 
-    def __init__(self, execution: ExecutionResult, dpst,
+    def __init__(self, execution: ExecutionResult, dpst: Optional[Dpst],
                  report: RaceReport, detector: DetectorBase,
                  elapsed_s: float, trace=None, replayed: bool = False,
-                 node_count: Optional[int] = None) -> None:
+                 node_count: Optional[int] = None,
+                 run: Optional[ArrayDetection] = None) -> None:
         self.execution = execution
-        #: a :class:`~repro.dpst.tree.Dpst`, or a zero-arg factory for
-        #: one — the array core defers tree materialization until a
-        #: consumer actually asks (``.dpst``), so race-free confirming
-        #: runs never build node objects at all.
+        #: the :class:`~repro.dpst.tree.Dpst` — ``None`` until first
+        #: read on the array core, which defers the full tree until a
+        #: consumer asks (``.dpst``): the repair path reads ``run``
+        #: instead, and race-free confirming runs build no node at all.
         self._dpst = dpst
+        #: the :class:`~repro.races.arraycore.ArrayDetection` of an
+        #: array-core detection (``None`` on the ``DpstBuilder`` path):
+        #: its flat tree view answers the placement queries.
+        self.run = run
         self.report = report
         self.detector = detector
         #: wall-clock seconds for instrumented execution + detection +
@@ -86,14 +101,20 @@ class DetectionResult:
 
     @property
     def dpst(self) -> Dpst:
-        dpst = self._dpst
-        if not isinstance(dpst, Dpst):
-            dpst = self._dpst = dpst()
-        return dpst
+        """The full object S-DPST (materialized on first read)."""
+        if self._dpst is None:
+            self._dpst = self.run.materialize()
+        return self._dpst
 
     @dpst.setter
     def dpst(self, value) -> None:
         self._dpst = value
+
+    @property
+    def placement_tree(self):
+        """What the placement path queries: the array core's flat view
+        when there is one (no full tree is built), else the tree."""
+        return self.run if self.run is not None else self.dpst
 
     @property
     def race_count(self) -> int:
@@ -164,36 +185,24 @@ def detect_races(program: ast.Program, args: Sequence[Any] = (),
             "record_trace needs the array core: pass algorithm='mrw' or "
             "'srw' and no custom detector")
     start = time.perf_counter()
-    with telemetry.span("detect_races", algorithm=algorithm,
-                        record_trace=False, core="object"):
+    with gc_paused(), telemetry.span("detect_races", algorithm=algorithm,
+                                     record_trace=False, core="object"):
         builder = DpstBuilder(detector)
         interp = Interpreter(program, builder, seed=seed, max_ops=max_ops)
-        # The run allocates large, long-lived graphs (S-DPST nodes, shadow
-        # entries) at a steady rate; with the cyclic collector enabled every
-        # generation-2 pass re-traverses the whole growing structure and can
-        # account for >20% of detection time.  Nothing here needs cycle
-        # collection mid-run, so pause it and let the caller's next natural
-        # collection reclaim any garbage afterwards.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            # The "execute" span covers the instrumented run; S-DPST
-            # construction and ESP-bags detection happen *inline* through
-            # the observer hooks, so their per-access cost is part of this
-            # span by design (separating them would require per-access
-            # timing, which the overhead policy forbids).  The "dpst" and
-            # "detect" spans cover the explicit finalization work.
-            with telemetry.span("execute"):
-                execution = interp.run(args)
-            with telemetry.span("dpst"):
-                dpst = builder.finish()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        # The "execute" span covers the instrumented run; S-DPST
+        # construction and ESP-bags detection happen *inline* through the
+        # observer hooks, so their per-access cost is part of this span
+        # by design (separating them would require per-access timing,
+        # which the overhead policy forbids).  The "dpst" and "detect"
+        # spans cover the explicit finalization work.
+        with telemetry.span("execute"):
+            execution = interp.run(args)
+        with telemetry.span("dpst"):
+            dpst = builder.finish()
         with telemetry.span("detect"):
             report = detector.report()
-        _harvest_counters(execution, builder.node_count(), detector, report)
+        nodes = builder.node_count()
+        _harvest_counters(execution, nodes, nodes, detector, report)
     elapsed = time.perf_counter() - start
     return DetectionResult(execution, dpst, report, detector, elapsed)
 
@@ -208,47 +217,37 @@ def _detect_races_array(program: ast.Program, args: Sequence[Any],
     from .arraycore import run_arraycore
 
     start = time.perf_counter()
-    with telemetry.span("detect_races", algorithm=algorithm,
-                        record_trace=record_trace, core="array"):
+    with gc_paused(), telemetry.span("detect_races", algorithm=algorithm,
+                                     record_trace=record_trace,
+                                     core="array"):
         buffer = TraceBuffer()
         interp = Interpreter(program, buffer, seed=seed, max_ops=max_ops)
-        # Same GC rationale as the DpstBuilder path; the buffer only
-        # appends to flat lists, but the batch pass allocates the
-        # long-lived shadow summaries.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            with telemetry.span("execute"):
-                execution = interp.run(args)
-            trace = buffer.trace()
-            collect = None
-            if incremental and record_trace:
-                from .incremental import IncrementalState
+        with telemetry.span("execute"):
+            execution = interp.run(args)
+        trace = buffer.trace()
+        collect = None
+        if incremental and record_trace:
+            from .incremental import IncrementalState
 
-                collect = IncrementalState(trace, algorithm)
-            with telemetry.span("detect"):
-                run = run_arraycore(trace, algorithm, collect=collect)
-            with telemetry.span("dpst"):
-                # Materializes only the step nodes the races touch (the
-                # report needs their identities); the full tree stays a
-                # deferred factory on the result either way, reusing
-                # those nodes when a consumer asks for it.
-                report = run.report()
-                dpst = run.dpst_handle()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+            collect = IncrementalState(trace, algorithm)
+        with telemetry.span("detect"):
+            run = run_arraycore(trace, algorithm, collect=collect)
+        with telemetry.span("dpst"):
+            # Materializes only the step nodes the races touch (the
+            # report needs their identities); the full tree stays
+            # deferred, reusing those nodes when a consumer asks for it.
+            report = run.report()
         kept = None
         if record_trace:
             trace.output = list(execution.output)
             trace.ops = execution.ops
             trace.value = execution.value
             kept = trace
-        _harvest_counters(execution, run.node_count, run.detector, report)
+        _harvest_counters(execution, run.node_count, run.materialized,
+                          run.detector, report)
     elapsed = time.perf_counter() - start
-    result = DetectionResult(execution, dpst, report, run.detector, elapsed,
-                             trace=kept, node_count=run.node_count)
+    result = DetectionResult(execution, None, report, run.detector, elapsed,
+                             trace=kept, node_count=run.node_count, run=run)
     if collect is not None:
         from .incremental import finalize_state
 

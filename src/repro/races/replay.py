@@ -33,6 +33,7 @@ from typing import Dict, Optional, Tuple
 
 from .. import telemetry
 from ..errors import ReplayError
+from ..gcpause import gc_paused
 from ..lang import ast
 from ..runtime.interpreter import ExecutionResult
 from ..runtime.recorder import ExecutionTrace
@@ -124,8 +125,8 @@ def replay_detection(trace: ExecutionTrace, program: ast.Program,
     replay on any :class:`~repro.races.incremental.IncrementalMiss`.
     The report, S-DPST, and execution view are bit-identical either way.
     """
-    with telemetry.span("replay", algorithm=algorithm,
-                        incremental=incremental):
+    with gc_paused(), telemetry.span("replay", algorithm=algorithm,
+                                     incremental=incremental):
         return _replay_detection(trace, program, algorithm, incremental,
                                  baseline)
 
@@ -169,7 +170,6 @@ def _replay_detection(trace: ExecutionTrace, program: ast.Program,
         if collect is not None:
             inc_state = finalize_state(collect, run, chains)
     report = run.report()
-    dpst = run.dpst_handle()
 
     # The execution view shares the trace's stored output list — replay
     # consumers only read it, and copying it per iteration measurably
@@ -178,6 +178,7 @@ def _replay_detection(trace: ExecutionTrace, program: ast.Program,
     telemetry.counter("replay.events", len(trace.kinds))
     telemetry.counter("replay.accesses", len(trace.acodes))
     telemetry.counter("dpst.nodes", run.node_count)
+    telemetry.counter("dpst.materialized", run.materialized)
     telemetry.counter("detector.races", len(report))
     telemetry.counter("detector.monitored_accesses",
                       run.detector.monitored_accesses)
@@ -185,7 +186,8 @@ def _replay_detection(trace: ExecutionTrace, program: ast.Program,
                       run.detector.scanned_accesses)
     telemetry.counter("detector.bag_unions", run.bags.unions)
     elapsed = time.perf_counter() - start
-    result = DetectionResult(execution, dpst, report, run.detector, elapsed,
-                             replayed=True, node_count=run.node_count)
+    result = DetectionResult(execution, None, report, run.detector, elapsed,
+                             replayed=True, node_count=run.node_count,
+                             run=run)
     result.inc_state = inc_state
     return result

@@ -16,9 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .. import telemetry
 from ..dpst.nodes import ASYNC, STEP, DpstNode
-from ..dpst.tree import Dpst
 from ..errors import RepairError
-from ..graph.computation import span_parts
 
 
 class DepNode:
@@ -122,13 +120,15 @@ class EdgeCounts:
                 - upper[y_lo] + lower[y_lo])
 
 
-def group_races_by_nslca(tree: Dpst,
+def group_races_by_nslca(tree,
                          step_pairs: Sequence[Tuple[DpstNode, DpstNode]]
                          ) -> "Dict[DpstNode, List[Tuple[DpstNode, DpstNode]]]":
     """Group race step pairs by their NS-LCA (static placement step 2).
 
     Returns groups keyed by NS-LCA node, ordered by the NS-LCA's
     depth-first index so repair processes outer contexts deterministically.
+    ``tree`` is a :class:`~repro.dpst.tree.Dpst` or a flat view (see
+    :func:`build_dependence_graph`); only its ``ns_lca`` is used.
     """
     groups: Dict[DpstNode, List[Tuple[DpstNode, DpstNode]]] = {}
     for source, sink in step_pairs:
@@ -137,19 +137,24 @@ def group_races_by_nslca(tree: Dpst,
     return dict(sorted(groups.items(), key=lambda item: item[0].index))
 
 
-def build_dependence_graph(tree: Dpst, nslca: DpstNode,
+def build_dependence_graph(tree, nslca: DpstNode,
                            step_pairs: Sequence[Tuple[DpstNode, DpstNode]],
                            span_cache: Dict[int, Tuple[int, int]] = None,
                            max_nodes: int = 150,
                            coalesce: bool = True) -> DependenceGraph:
     """Reduce the subtree rooted at ``nslca`` to a dependence DAG.
 
+    ``tree`` answers ``non_scope_children``, ``non_scope_child_toward``
+    and ``completion``: a full :class:`~repro.dpst.tree.Dpst`, or the
+    repair path's flat view of an array-core run
+    (:class:`~repro.races.arraycore.ArrayDetection`), which reads the
+    times from its span sweep and builds only the NS-LCA's region.
     ``step_pairs`` are the races whose NS-LCA is ``nslca``; edges are
-    deduplicated.  ``span_cache`` may be shared across calls to avoid
-    recomputing subtree spans.  If, after exact coalescing, the graph
-    still has more than ``max_nodes`` nodes (the O(n^3) DP would stall),
-    the conservative :func:`_merge_all_step_runs` fallback kicks in and
-    counts ``repair.step_run_merges``.
+    deduplicated.  ``span_cache`` may be shared across calls on one full
+    tree to avoid recomputing subtree spans.  If, after exact coalescing,
+    the graph still has more than ``max_nodes`` nodes (the O(n^3) DP
+    would stall), the conservative :func:`_merge_all_step_runs` fallback
+    kicks in and counts ``repair.step_run_merges``.
     """
     if span_cache is None:
         span_cache = {}
@@ -199,7 +204,7 @@ def build_dependence_graph(tree: Dpst, nslca: DpstNode,
     for pos, child in enumerate(children):
         is_step = child.kind == STEP
         # A step's span is its own cost.
-        time = child.cost if is_step else span_parts(child, span_cache)[1]
+        time = child.cost if is_step else tree.completion(child, span_cache)
         incoming = sources_of.get(pos, no_sources)
         if (coalesce and nodes and is_step
                 and nodes[-1].last.kind == STEP and previous == incoming):

@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .. import telemetry
 from ..dpst.nodes import DpstNode
 from ..errors import RepairError, ReplayError
+from ..gcpause import gc_paused
 from ..lang import ast, pretty
 from ..lang.transform import (
     clone_program,
@@ -215,7 +216,7 @@ class RepairEngine:
     def repair(self, program: ast.Program,
                args: Sequence[Any] = ()) -> RepairResult:
         """Repair ``program`` for the single test input ``args``."""
-        with telemetry.span("repair", algorithm=self.algorithm):
+        with gc_paused(), telemetry.span("repair", algorithm=self.algorithm):
             return self._repair(program, args)
 
     def _repair(self, program: ast.Program,
@@ -336,7 +337,7 @@ class RepairEngine:
                             detection: DetectionResult,
                             step_pairs) -> Tuple[List[NslcaPlacement],
                                                  List[InsertionPoint]]:
-        tree = detection.dpst
+        tree = detection.placement_tree
         groups = group_races_by_nslca(tree, step_pairs)
         stmt_positions = _statement_positions(work)
         finder = InsertionFinder(stmt_positions, build_scope_table(work))

@@ -24,6 +24,9 @@ Canonical counter names used by the pipeline:
 ``detector.races``             races recorded (post-dedup)
 ``detector.bag_unions``        union-find merges in the ESP-bags forest
 ``dpst.nodes``                 S-DPST nodes created
+``dpst.materialized``          ``DpstNode`` objects built for them (the
+                               array core builds report chains, NS-LCA
+                               regions and full trees on demand only)
 ``replay.events``              control events replayed from the trace
 ``replay.accesses``            int-coded accesses replayed
 ``repair.iterations``          detect/place/edit rounds executed

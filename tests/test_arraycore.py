@@ -201,9 +201,10 @@ class TestArrayCoreBehavior:
 
     def test_racefree_detection_defers_tree(self):
         detection = detect_races(build(self.CLEAN))
-        assert callable(detection._dpst)  # not materialized yet
+        assert detection._dpst is None  # not materialized yet
         count = detection.dpst_node_count  # known without the tree
-        assert callable(detection._dpst)
+        assert detection._dpst is None
+        assert detection.run.materialized == 0
         tree = detection.dpst  # first touch materializes ...
         assert isinstance(tree, Dpst)
         assert detection.dpst is tree  # ... and caches

@@ -19,7 +19,10 @@ Every node carries:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
+
+#: the ``children`` of every step.
+_LEAF: Sequence["DpstNode"] = ()
 
 ASYNC = "async"
 FINISH = "finish"
@@ -43,7 +46,9 @@ class DpstNode:
         self.index = index
         self.parent = parent
         self.depth = 0 if parent is None else parent.depth + 1
-        self.children: List[DpstNode] = []
+        #: Steps are leaves and share one empty tuple, which saves a list
+        #: per step.
+        self.children: Sequence[DpstNode] = _LEAF if kind == STEP else []
         #: AST statement id this node anchors to in the parent's block.
         self.anchor_nid = anchor_nid
         #: AST block whose statements this node's children anchor into.

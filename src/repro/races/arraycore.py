@@ -9,9 +9,10 @@ batch alternative: it consumes the packed encoding of a run (an
 is_write`` access codes grouped into per-segment runs) and performs all
 of that work *afterwards*, over the flat arrays:
 
-* **S-DPST maintenance in arrays** — node kind/parent/anchor/cost live in
-  parallel lists keyed by node index; ``DpstNode`` objects are
-  materialized only where they are read.  Reporting builds the racy
+* **S-DPST maintenance in arrays** — one call-free event loop
+  (:func:`walk_events`) keeps the node kind/parent/anchor/cost/event
+  columns, keyed by node index; ``DpstNode`` objects are materialized
+  only where they are read.  Reporting builds the racy
   steps and their ancestor chains.  The repair path reads subtree
   times from one reverse-preorder sweep (:meth:`_DpstArrays.spans`) and
   builds each NS-LCA's region (:meth:`ArrayDetection.non_scope_children`),
@@ -55,7 +56,7 @@ and student corpora.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter, rshift
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -87,21 +88,35 @@ _W_R, _W_W, _R_W = 0, 1, 2
 
 _EMPTY: Tuple = ()
 
+#: the end marker :func:`walk_events` puts after a walk's last segment.
+_K_END = -2
+
 
 # ----------------------------------------------------------------------
 # S-DPST in flat arrays
 # ----------------------------------------------------------------------
 
 class _DpstArrays:
-    """The S-DPST as parallel lists indexed by node index, built by the
-    same rules as :class:`~repro.dpst.builder.DpstBuilder` (lazy steps,
-    anchor runs, creation-order indices) so materialization yields a
-    bit-identical tree."""
+    """The S-DPST as five parallel columns indexed by node index, built
+    by the same rules as :class:`~repro.dpst.builder.DpstBuilder` (lazy
+    steps, anchor runs, creation-order indices) so materialization
+    yields a bit-identical tree.
 
-    __slots__ = ("kind", "parent", "anchor", "block", "construct", "scope",
-                 "cost", "anchors", "count", "stack", "anchor_stack",
-                 "cur_anchor", "cur_step", "nodes", "built", "wired",
-                 "_spans")
+    The columns are ``kind``, ``parent``, ``anchor`` (the statement a
+    node hangs off; a step's first statement), ``cost`` (steps only) and
+    ``event`` (the trace event whose processing created the node, in
+    nondecreasing order).  A recorded async, finish or scope reads its
+    block, construct and scope kind from that event's payload when it is
+    materialized, an injected finish from its ``FinishStmt`` in
+    ``chains``.  A step covering two or more statements keeps their list
+    in the ``anchors`` dict, so single-statement steps allocate no
+    object.  :func:`run_arraycore` fills the columns; the splice of
+    :mod:`repro.races.incremental` derives them from an earlier pass's.
+    """
+
+    __slots__ = ("kind", "parent", "anchor", "cost", "event", "anchors",
+                 "payloads", "chains", "nodes", "built", "wired", "_spans",
+                 "_finishes")
 
     def __init__(self) -> None:
         #: lazily-created node memo (index -> DpstNode or None); shared
@@ -116,88 +131,24 @@ class _DpstArrays:
         self.wired: Optional[set] = set()
         self._spans: Optional[Tuple[List[int], List[int], List[int],
                                     List[int]]] = None
+        #: the trace's event payloads and the injection chains the pass
+        #: ran under, which materialization reads blocks and constructs
+        #: from.
+        self.payloads: Optional[List[Any]] = None
+        self.chains: Optional[Dict[int, Tuple]] = None
+        self._finishes: Optional[Dict[int, Any]] = None
         # Index 0 is the root main task, mirroring DpstBuilder.__init__.
         self.kind: List[str] = [ASYNC]
         self.parent: List[int] = [-1]
         self.anchor: List[Optional[int]] = [None]
-        self.block: List[Optional[int]] = [None]
-        self.construct: List[Optional[int]] = [None]
-        self.scope: List[Optional[str]] = [None]
         self.cost: List[int] = [0]
-        self.anchors: List[Optional[List[int]]] = [None]
-        self.count = 0
-        self.stack: List[int] = [0]
-        self.anchor_stack: List[Optional[int]] = []
-        self.cur_anchor: Optional[int] = None
-        self.cur_step = -1
+        self.event: List[int] = [0]
+        self.anchors: Dict[int, List[int]] = {}
 
-    # -- construction --------------------------------------------------
-
-    def _new(self, kind: str, anchor, block, construct,
-             scope_kind=None) -> int:
-        self.count += 1
-        self.kind.append(kind)
-        self.parent.append(self.stack[-1])
-        self.anchor.append(anchor)
-        self.block.append(block)
-        self.construct.append(construct)
-        self.scope.append(scope_kind)
-        self.cost.append(0)
-        self.anchors.append(None)
-        return self.count
-
-    def _push(self, idx: int) -> None:
-        self.cur_step = -1
-        self.stack.append(idx)
-        self.anchor_stack.append(self.cur_anchor)
-        self.cur_anchor = None
-
-    def pop(self) -> None:
-        self.cur_step = -1
-        self.stack.pop()
-        self.cur_anchor = self.anchor_stack.pop()
-
-    def enter_async(self, stmt) -> int:
-        idx = self._new(ASYNC, stmt.nid, stmt.body.nid, stmt.nid)
-        self._push(idx)
-        return idx
-
-    def enter_finish(self, stmt) -> int:
-        idx = self._new(FINISH, stmt.nid, stmt.body.nid, stmt.nid)
-        self._push(idx)
-        return idx
-
-    def enter_scope(self, scope_kind: str, construct_nid: int,
-                    block_nid: int) -> int:
-        idx = self._new(SCOPE, self.cur_anchor, block_nid, construct_nid,
-                        scope_kind)
-        self._push(idx)
-        return idx
-
-    def seg_step(self) -> int:
-        """The current step's index, created lazily — ``ensure_step`` of
-        the object builder, amortized to one call per *segment* because
-        step and anchor cannot change between two control events."""
-        step = self.cur_step
-        a = self.cur_anchor
-        if step == -1:
-            step = self._new(STEP, a, None, None)
-            self.cur_step = step
-        elif a is not None:
-            # A step's first statement is its ``anchor``; the list exists
-            # only once a second one arrives, so single-statement steps
-            # allocate no object.
-            lst = self.anchors[step]
-            if lst is not None:
-                if lst[-1] != a:
-                    lst.append(a)
-            else:
-                first = self.anchor[step]
-                if first is None:
-                    self.anchor[step] = a
-                elif first != a:
-                    self.anchors[step] = [first, a]
-        return step
+    @property
+    def count(self) -> int:
+        """The index of the last node (the root is node 0)."""
+        return len(self.kind) - 1
 
     # -- subtree spans ------------------------------------------------
 
@@ -265,16 +216,34 @@ class _DpstArrays:
 
     def _make(self, i: int, parent: DpstNode) -> DpstNode:
         kind = self.kind[i]
-        node = DpstNode(kind, i, parent, self.anchor[i], self.block[i],
-                        self.construct[i], self.scope[i])
+        anchor = self.anchor[i]
         if kind is STEP:
-            lst = self.anchors[i]
+            node = DpstNode(STEP, i, parent, anchor)
+            lst = self.anchors.get(i)
             if lst is not None:
                 node.anchors = lst
-            elif self.anchor[i] is not None:
-                node.anchors.append(self.anchor[i])
+            elif anchor is not None:
+                node.anchors = (anchor,)  # a tuple of an int: not GC-tracked
             node.cost = self.cost[i]
-        return node
+            return node
+        payload = self.payloads[self.event[i]]
+        if kind is SCOPE:
+            scope_kind, construct, block = payload
+            return DpstNode(SCOPE, i, parent, anchor, block, construct,
+                            scope_kind)
+        if payload.__class__ is int:  # a finish injected at a K_AT event
+            payload = self._finish_stmts()[anchor]
+        return DpstNode(kind, i, parent, anchor, payload.body.nid,
+                        payload.nid)
+
+    def _finish_stmts(self) -> Dict[int, Any]:
+        """nid -> ``FinishStmt`` of every injected finish."""
+        finishes = self._finishes
+        if finishes is None:
+            finishes = self._finishes = {
+                f.nid: f for chain in (self.chains or {}).values()
+                for f in chain}
+        return finishes
 
     def node_at(self, i: int) -> DpstNode:
         """Materialize node ``i`` and its ancestor chain only — parents
@@ -346,32 +315,15 @@ class _DpstArrays:
         caches).
         """
         nodes = self._ensure_nodes()
-        kinds = self.kind
         parents = self.parent
-        anchor = self.anchor
-        block = self.block
-        construct = self.construct
-        scope = self.scope
-        costs = self.cost
-        anchors = self.anchors
         wired = self.wired
-        new = DpstNode
+        make = self._make
         built = 0
         for i in range(1, self.count + 1):
             node = nodes[i]
             p = parents[i]
             if node is None:
-                kind = kinds[i]
-                node = new(kind, i, nodes[p], anchor[i], block[i],
-                           construct[i], scope[i])
-                if kind is STEP:
-                    lst = anchors[i]
-                    if lst is not None:
-                        node.anchors = lst
-                    elif anchor[i] is not None:
-                        node.anchors.append(anchor[i])
-                    node.cost = costs[i]
-                nodes[i] = node
+                node = nodes[i] = make(i, nodes[p])
                 built += 1
             if p not in wired:
                 nodes[p].children.append(node)
@@ -830,15 +782,10 @@ class ArrayDetection:
     ns_lca = staticmethod(Dpst.ns_lca)
     non_scope_child_toward = staticmethod(Dpst.non_scope_child_toward)
 
-    def __init__(self, detector, arrays: _DpstArrays,
-                 bags: Optional[BagManager] = None) -> None:
+    def __init__(self, detector, arrays: _DpstArrays) -> None:
+        #: the array detector; ``None`` for a structure-only pass.
         self.detector = detector
         self._arrays = arrays
-        #: the run's bag manager — ``detector.bags`` normally, but a
-        #: structure-only pass (``detect=False``) has no detector and
-        #: still runs the full bag-transition sequence.
-        self.bags = bags if bags is not None else (
-            detector.bags if detector is not None else None)
         #: total S-DPST nodes, known without materializing the tree.
         self.node_count = arrays.count + 1
         self._dpst: Optional[Dpst] = None
@@ -893,9 +840,8 @@ def run_arraycore(trace: ExecutionTrace, algorithm: str,
     ``chains`` (statement nid -> tuple of new synthetic ``FinishStmt``
     nodes wrapping it) is the replay producer's splice map; ``None`` or
     empty means the trace is consumed as recorded (the first-run path).
-    The loop mirrors the object builder's event handling exactly; per
-    access-bearing segment it makes one structural bookkeeping call.
-    The detector scans only the accesses to shared addresses
+    The whole trace goes through one :func:`walk_events` loop.  The
+    detector scans only the accesses to shared addresses
     (:func:`shared_ordinals`), one call per *step run* — the
     consecutive segments of one step, which end at the next push or pop
     — that holds any of them; a run is scanned before the next bag
@@ -904,184 +850,291 @@ def run_arraycore(trace: ExecutionTrace, algorithm: str,
     Two hooks serve MRW incremental re-detection
     (:mod:`repro.races.incremental`):
 
-    * ``detect=False`` runs a *structure-only* pass — every builder and
-      bag transition, no access scanning.  The S-DPST arrays come out
-      bit-identical to a detecting pass at a fraction of the cost (the
-      MRW fast path re-derives race rows from them).
+    * ``detect=False`` runs a *structure-only* pass: the S-DPST arrays
+      alone, bit-identical to a detecting pass's, with no bag transition
+      and no access scan.  It is the splice's fallback and its test
+      oracle.
     * ``collect`` (an ``IncrementalState``) records the step index of
       every event's segment (``-1`` for an access-free one).
+    """
+    arrays = _DpstArrays()
+    arrays.payloads = trace.payloads
+    arrays.chains = chains
+    soe = None
+    if collect is not None:
+        soe = collect.step_of_event = [-1] * len(trace.kinds)
+    if not detect:
+        walk_events(trace, arrays, 0, len(trace.kinds), 0, _EMPTY, None,
+                    chains, soe)
+        return ArrayDetection(None, arrays)
+    detector = make_array_detector(algorithm, trace)
+    bags = detector.bags
+    bags.make_s_bag(0)  # task_begin(root), as in DpstBuilder.__init__
+    shared = shared_ordinals(trace)
+    detector.scanned_accesses = len(shared)
+    detector.monitored_accesses = len(trace.acodes)
+    walk_events(trace, arrays, 0, len(trace.kinds), 0, _EMPTY, None,
+                chains, soe, detector.make_segment(shared), shared, bags)
+    # DpstBuilder.finish(): close the main task.
+    bags.task_ends(0, _IMPLICIT_FINISH)
+    return ArrayDetection(detector, arrays)
+
+
+def walk_events(trace: ExecutionTrace, arrays: _DpstArrays, lo: int,
+                hi: int, top: int, cur: Tuple, cur_anchor: Optional[int],
+                chains: Optional[Dict[int, Tuple]],
+                soe=None, segment=None,
+                shared: Optional[List[int]] = None,
+                bags: Optional[BagManager] = None) -> Tuple[int, int]:
+    """The event loop: process the segments of events ``lo .. hi - 1``
+    and the control events between them, appending the nodes they
+    create to ``arrays``.  Returns ``(top, debt)`` after the last
+    segment.
+
+    The loop mirrors the object builder's event handling exactly, with
+    every node operation inlined: a step is created lazily by the first
+    segment with accesses or cost after a push or pop, and a pop
+    restores the anchor saved at the push, which is the popped node's
+    own ``anchor`` (a recorded async or finish enter always follows its
+    statement's ``K_AT``).  The state on entry is the one *after* event
+    ``lo``'s own push or pop: ``top`` is the innermost open node, ``cur``
+    the injection chain open in its frame, ``cur_anchor`` the current
+    statement, no current step and no cost debt.  ``run_arraycore``
+    walks a whole trace from the ``K_START`` event; the splice walks the
+    ``K_AT`` runs an edit touched.
+
+    ``segment``/``shared``/``bags`` turn on detection: the bag
+    transitions of every push and pop and the scan of the shared
+    accesses.  Without them the walk is structure-only.  ``soe``, when
+    given, maps each event with accesses in its segment to the segment's
+    step index (``soe[j] = step``; a list of ``-1``s, or a dict).
     """
     kinds = trace.kinds
     payloads = trace.payloads
     pends = trace.pends
     starts = trace.starts
-    segcosts = trace.segcosts
     n_events = len(kinds)
     n_accesses = len(trace.acodes)
 
-    detector = make_array_detector(algorithm, trace) if detect else None
-    arrays = _DpstArrays()
-    if detector is not None:
-        bags = detector.bags
-    else:
-        bags = BagManager()
-        bags.register_finish(_IMPLICIT_FINISH)
-    bags.make_s_bag(0)  # task_begin(root), as in DpstBuilder.__init__
-    tasks = [0]
-    finish_keys = [_IMPLICIT_FINISH]
-    frames = []
-    cur = _EMPTY
+    kind_col = arrays.kind
+    parent_col = arrays.parent
+    anchor_col = arrays.anchor
+    cost_col = arrays.cost
+    new_kind = kind_col.append
+    new_parent = parent_col.append
+    new_anchor = anchor_col.append
+    new_cost = cost_col.append
+    new_event = arrays.event.append
+    anchors = arrays.anchors
+    count = len(kind_col)  # the next node's index
+    cur_step = -1
+    last = None  # the current step's last anchor
     debt = 0
+    frames = []
+    chains_get = chains.get if chains else None
 
-    costs = arrays.cost
-    seg_step = arrays.seg_step
-    enter_async = arrays.enter_async
-    enter_finish = arrays.enter_finish
-    enter_scope = arrays.enter_scope
-    pop = arrays.pop
-    # ``nxt`` is the first unscanned shared ordinal (``n_accesses`` when
-    # none is left); ``run_hi`` > 0 marks a pending step run that holds
-    # one, to be scanned up to ``run_hi`` in ``run_step``.
-    if detector is not None:
-        shared = shared_ordinals(trace)
-        segment = detector.make_segment(shared)
-        detector.scanned_accesses = len(shared)
+    detecting = segment is not None
+    if detecting:
+        tasks = [0]
+        finish_keys = [_IMPLICIT_FINISH]
+        make_s_bag = bags.make_s_bag
+        task_ends = bags.task_ends
+        register_finish = bags.register_finish
+        finish_ends = bags.finish_ends
+        # ``nxt`` is the first unscanned shared ordinal (``n_accesses``
+        # when none is left); ``run_hi`` > 0 marks a pending step run
+        # that holds one, to be scanned up to ``run_hi``.
         nxt = shared[0] if shared else n_accesses
     else:
         nxt = n_accesses
     run_hi = run_step = 0
-    make_s_bag = bags.make_s_bag
-    task_ends = bags.task_ends
-    register_finish = bags.register_finish
-    finish_ends = bags.finish_ends
 
-    soe_append = collect.step_of_event.append if collect is not None \
-        else None
+    # One iteration per event j: the segment of j (its accesses and the
+    # cost flushed before the next event), then the push or pop of event
+    # j + 1 — the trailing _K_END ends the walk without one.
+    for j, a_lo, a_hi, cost, kind in zip(
+            range(lo, hi), starts[lo:hi],
+            chain(starts[lo + 1:hi],
+                  (starts[hi] if hi < n_events else n_accesses,)),
+            trace.segcosts[lo:hi], chain(kinds[lo + 1:hi], (_K_END,))):
+        if debt and cost:
+            # Cost flushed early at an injected finish is taken out of
+            # the first later segment that flushes it again.
+            take = cost if debt > cost else debt
+            cost -= take
+            debt -= take
+        if a_hi > a_lo or cost:
+            step = cur_step
+            if step < 0:
+                step = cur_step = count
+                count += 1
+                new_kind(STEP)
+                new_parent(top)
+                new_anchor(cur_anchor)
+                new_cost(cost)
+                new_event(j)
+                last = cur_anchor
+            else:
+                if cur_anchor != last and cur_anchor is not None:
+                    if last is None:
+                        anchor_col[step] = cur_anchor
+                    elif step in anchors:
+                        anchors[step].append(cur_anchor)
+                    else:
+                        anchors[step] = [last, cur_anchor]
+                    last = cur_anchor
+                if cost:
+                    cost_col[step] += cost
+            if a_hi > a_lo:
+                if nxt < a_hi:
+                    run_hi = a_hi
+                    run_step = step
+                if soe is not None:
+                    soe[j] = step
 
-    has_chains = bool(chains)
-    chains_get = chains.get if chains else None
-
-    for j in range(n_events):
-        kind = kinds[j]
         if run_hi and kind != K_AT:
-            # Every other event pushes or pops, ending the step:
-            # scan the pending run before any bag transition.
+            # Every other event pushes or pops, ending the step: scan
+            # the pending run before any bag transition.
             nxt = segment(run_hi, run_step, tasks[-1])
             run_hi = 0
         if kind == K_AT:
-            nid = payloads[j]
-            if has_chains:
+            nid = payloads[j + 1]
+            if chains_get is not None:
                 target = chains_get(nid, _EMPTY)
                 if target is not cur:
-                    if run_hi:
-                        nxt = segment(run_hi, run_step, tasks[-1])
-                        run_hi = 0
-                    pend = pends[j]
                     common = 0
                     len_cur = len(cur)
                     len_target = len(target)
                     while (common < len_cur and common < len_target
                            and cur[common] is target[common]):
                         common += 1
-                    if common < len_cur:
-                        # Close the divergent suffix, flushing cost
-                        # accrued since the last flush *inside* the
-                        # innermost finish first — exactly where the
-                        # engine's exit-time flush would put it.
-                        flush = pend - debt
-                        if flush > 0:
-                            costs[seg_step()] += flush
+                    if common < len_cur or common < len_target:
+                        if run_hi:
+                            nxt = segment(run_hi, run_step, tasks[-1])
+                            run_hi = 0
+                        # Flush the cost accrued since the last flush
+                        # into the current step, before the brackets
+                        # change — exactly where the engine's own flush
+                        # at a finish exit or enter would put it: inside
+                        # the innermost closing finish, or under the
+                        # first opening one's statement.
+                        pend = pends[j + 1]
+                        if pend > debt:
+                            flush = pend - debt
                             debt = pend
+                            if common == len_cur:
+                                cur_anchor = target[common].nid
+                            step = cur_step
+                            if step < 0:
+                                cur_step = count
+                                count += 1
+                                new_kind(STEP)
+                                new_parent(top)
+                                new_anchor(cur_anchor)
+                                new_cost(flush)
+                                new_event(j + 1)
+                            else:
+                                if cur_anchor != last \
+                                        and cur_anchor is not None:
+                                    if last is None:
+                                        anchor_col[step] = cur_anchor
+                                    elif step in anchors:
+                                        anchors[step].append(cur_anchor)
+                                    else:
+                                        anchors[step] = [last, cur_anchor]
+                                cost_col[step] += flush
                         for _ in range(len_cur - common):
-                            pop()
-                            finish_ends(finish_keys.pop(), tasks[-1])
-                    for fi in range(common, len_target):
-                        fstmt = target[fi]
-                        arrays.cur_anchor = fstmt.nid
-                        flush = pend - debt
-                        if flush > 0:
-                            costs[seg_step()] += flush
-                            debt = pend
-                        idx = enter_finish(fstmt)
-                        register_finish(idx)
-                        finish_keys.append(idx)
+                            top = parent_col[top]
+                            if detecting:
+                                finish_ends(finish_keys.pop(), tasks[-1])
+                        for fi in range(common, len_target):
+                            new_kind(FINISH)
+                            new_parent(top)
+                            new_anchor(target[fi].nid)
+                            new_cost(0)
+                            new_event(j + 1)
+                            top = count
+                            count += 1
+                            if detecting:
+                                register_finish(top)
+                                finish_keys.append(top)
+                        cur_step = -1
                     cur = target
-            arrays.cur_anchor = nid
-        elif kind == K_ENTER_ASYNC:
-            idx = enter_async(payloads[j])
-            tasks.append(idx)
-            make_s_bag(idx)
-            frames.append(cur)
-            cur = _EMPTY
-        elif kind == K_EXIT_ASYNC:
-            for _ in range(len(cur)):
-                pop()
-                finish_ends(finish_keys.pop(), tasks[-1])
-            cur = frames.pop()
-            pop()
-            task_ends(tasks.pop(), finish_keys[-1])
+            cur_anchor = nid
         elif kind == K_ENTER_SCOPE:
-            scope_kind, construct_nid, block_nid = payloads[j]
-            enter_scope(scope_kind, construct_nid, block_nid)
+            new_kind(SCOPE)
+            new_parent(top)
+            new_anchor(cur_anchor)
+            new_cost(0)
+            new_event(j + 1)
+            top = count
+            count += 1
+            cur_step = -1
+            cur_anchor = None
             frames.append(cur)
             cur = _EMPTY
         elif kind == K_EXIT_SCOPE:
             for _ in range(len(cur)):
-                pop()
-                finish_ends(finish_keys.pop(), tasks[-1])
+                top = parent_col[top]
+                if detecting:
+                    finish_ends(finish_keys.pop(), tasks[-1])
             cur = frames.pop()
-            pop()
-        elif kind == K_ENTER_FINISH:
-            idx = enter_finish(payloads[j])
-            register_finish(idx)
-            finish_keys.append(idx)
+            cur_anchor = anchor_col[top]
+            top = parent_col[top]
+            cur_step = -1
+        elif kind == K_ENTER_ASYNC:
+            new_kind(ASYNC)
+            new_parent(top)
+            new_anchor(payloads[j + 1].nid)
+            new_cost(0)
+            new_event(j + 1)
+            top = count
+            count += 1
+            cur_step = -1
+            cur_anchor = None
             frames.append(cur)
             cur = _EMPTY
+            if detecting:
+                tasks.append(top)
+                make_s_bag(top)
+        elif kind == K_EXIT_ASYNC:
+            for _ in range(len(cur)):
+                top = parent_col[top]
+                if detecting:
+                    finish_ends(finish_keys.pop(), tasks[-1])
+            cur = frames.pop()
+            if detecting:
+                task_ends(tasks.pop(), finish_keys[-1])
+            cur_anchor = anchor_col[top]
+            top = parent_col[top]
+            cur_step = -1
+        elif kind == K_ENTER_FINISH:
+            new_kind(FINISH)
+            new_parent(top)
+            new_anchor(payloads[j + 1].nid)
+            new_cost(0)
+            new_event(j + 1)
+            top = count
+            count += 1
+            cur_step = -1
+            cur_anchor = None
+            frames.append(cur)
+            cur = _EMPTY
+            if detecting:
+                register_finish(top)
+                finish_keys.append(top)
         elif kind == K_EXIT_FINISH:
             for _ in range(len(cur)):
-                pop()
-                finish_ends(finish_keys.pop(), tasks[-1])
+                top = parent_col[top]
+                if detecting:
+                    finish_ends(finish_keys.pop(), tasks[-1])
             cur = frames.pop()
-            pop()
-            finish_ends(finish_keys.pop(), tasks[-1])
-        # else: K_START — the virtual opening event, no bookkeeping.
-
-        # The segment: accesses and cost between this control event
-        # and the next.  Step and anchor are loop-invariant here, so
-        # one seg_step() does the builder bookkeeping; a segment
-        # holding a shared access joins its step's pending run.
-        lo = starts[j]
-        hi = starts[j + 1] if j + 1 < n_events else n_accesses
-        cost = segcosts[j]
-        if debt and cost:
-            take = cost if debt > cost else debt
-            cost -= take
-            debt -= take
-        if hi > lo:
-            step = seg_step()
-            if cost:
-                costs[step] += cost
-            if nxt < hi:
-                run_hi = hi
-                run_step = step
-            if soe_append is not None:
-                soe_append(step)
-        else:
-            if cost:
-                costs[seg_step()] += cost
-            if soe_append is not None:
-                soe_append(-1)
+            if detecting:
+                finish_ends(finish_keys.pop(), tasks[-1])
+            cur_anchor = anchor_col[top]
+            top = parent_col[top]
+            cur_step = -1
+        # else: _K_END (or K_START) — no push or pop.
     if run_hi:
         segment(run_hi, run_step, tasks[-1])
-    # Defensive: a well-formed trace closes every scope, so no
-    # injected finish can still be open here.
-    for _ in range(len(cur)):  # pragma: no cover - unreachable
-        pop()
-        finish_ends(finish_keys.pop(), tasks[-1])
-    # DpstBuilder.finish(): close the main task.
-    arrays.cur_step = -1
-    task_ends(tasks.pop(), finish_keys[-1])
-
-    if detector is not None:
-        detector.monitored_accesses = n_accesses
-    return ArrayDetection(detector, arrays, bags=bags)
+    return top, debt

@@ -70,6 +70,9 @@ def _injection_chains(program: ast.Program, recorded_finish_nids
             if chain:
                 chains[stmt.nid] = chain
             # Nested blocks open their own scope frames: chains restart.
+            if isinstance(stmt, ast.Block):  # a bare block is one itself
+                walk_stmts(stmt.stmts, _EMPTY)
+                continue
             stack = list(stmt.children())
             while stack:
                 child = stack.pop()
@@ -164,6 +167,8 @@ def _replay_detection(trace: ExecutionTrace, program: ast.Program,
                               stats["rows_rechecked"])
             telemetry.counter("incremental.rows_synthesized",
                               stats["rows_synthesized"])
+            telemetry.counter("incremental.splice_misses",
+                              stats["splice_misses"])
     if run is None:
         collect = IncrementalState(trace, algorithm) if incremental else None
         run = run_arraycore(trace, algorithm, chains=chains, collect=collect)
@@ -184,7 +189,7 @@ def _replay_detection(trace: ExecutionTrace, program: ast.Program,
                       run.detector.monitored_accesses)
     telemetry.counter("detector.scanned_accesses",
                       run.detector.scanned_accesses)
-    telemetry.counter("detector.bag_unions", run.bags.unions)
+    telemetry.counter("detector.bag_unions", run.detector.bags.unions)
     elapsed = time.perf_counter() - start
     result = DetectionResult(execution, None, report, run.detector, elapsed,
                              replayed=True, node_count=run.node_count,

@@ -37,6 +37,7 @@ valid across in-place finish insertion).
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import sub
 from typing import Any, List
 
@@ -83,9 +84,8 @@ class ExecutionTrace:
         """Statement nids that executed (validates a replay target)."""
         nids = self._stmt_nids
         if nids is None:
-            payloads = self.payloads
-            nids = self._stmt_nids = {
-                payloads[j] for j, k in enumerate(self.kinds) if k == K_AT}
+            nids = self._stmt_nids = set(
+                compress(self.payloads, map(K_AT.__eq__, self.kinds)))
         return nids
 
     @property
@@ -96,10 +96,9 @@ class ExecutionTrace:
         from an earlier repair round)."""
         nids = self._finish_nids
         if nids is None:
-            payloads = self.payloads
             nids = self._finish_nids = {
-                payloads[j].nid for j, k in enumerate(self.kinds)
-                if k == K_ENTER_FINISH}
+                stmt.nid for stmt in compress(
+                    self.payloads, map(K_ENTER_FINISH.__eq__, self.kinds))}
         return nids
 
     def replay_cache(self) -> dict:

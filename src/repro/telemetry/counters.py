@@ -22,7 +22,9 @@ Canonical counter names used by the pipeline:
                                array core's scan visited (0 on the
                                incremental fast path, which scans none)
 ``detector.races``             races recorded (post-dedup)
-``detector.bag_unions``        union-find merges in the ESP-bags forest
+``detector.bag_unions``        union-find merges in the ESP-bags forest of
+                               a scanning pass (0 on the incremental fast
+                               path, which runs no bag transition)
 ``dpst.nodes``                 S-DPST nodes created
 ``dpst.materialized``          ``DpstNode`` objects built for them (the
                                array core builds report chains, NS-LCA
@@ -39,16 +41,20 @@ Canonical counter names used by the pipeline:
 ``repair.dp_cells_edge_free``  of those, cells with no edge inside (O(1))
 ``incremental.hits``           replays served by the MRW fast path
 ``incremental.fallbacks``      incremental misses (full re-scan instead)
-``incremental.window_events``  trace events actually re-scanned
-``incremental.events_total``   trace events a full re-scan would cover
+``incremental.window_events``  trace events the S-DPST splice re-walked
+                               (all of them on a splice miss)
+``incremental.events_total``   trace events a full re-walk would cover
+``incremental.splice_misses``  fast-path re-detections whose S-DPST the
+                               structure-only pass built instead of the
+                               splice
 ``incremental.rows_rechecked``   baseline race rows re-validated (MHP)
 ``incremental.rows_synthesized`` race rows added for split sink steps
 ``schedule.steps``             computation-graph steps scheduled
 =============================  =========================================
 
-The re-scanned window fraction of an incremental repair is
-``incremental.window_events / incremental.events_total``: 0, because the
-MRW fast path re-scans structure only, no accesses.
+The re-walked fraction of an incremental repair is
+``incremental.window_events / incremental.events_total``; the MRW fast
+path re-scans no access at all.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ class TestConstruction:
         tree = build_dpst("def main() { var x = 1; async { x = 2; } x = 3; }")
         for node in tree.walk():
             if node.kind == STEP:
-                assert node.children == []
+                assert len(node.children) == 0
 
     def test_async_breaks_steps(self):
         tree = build_dpst("def main() { var a = 1; async { a = 2; } a = 3; }")

@@ -7,6 +7,8 @@
   ``_filter_nested_edits`` held back for a later iteration.
 * ``detector.scanned_accesses`` — the accesses to shared addresses the
   array core's scan visited, next to ``detector.monitored_accesses``.
+* ``incremental.splice_misses`` — an MRW re-detection whose S-DPST
+  splice failed and whose arrays the structure-only pass built instead.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 from repro import telemetry
 from repro.cli import main
 from repro.lang import parse
-from repro.races import detect_races
+from repro.races import detect_races, incremental
 from repro.races.replay import replay_detection
 from repro.repair import RepairEngine
 from repro.repair.dependence import (
@@ -26,6 +28,8 @@ from repro.repair.dependence import (
     group_races_by_nslca,
 )
 from tests.conftest import build
+from tests.test_incremental import STRESS_SOURCES
+from tests.test_replay import norm_report
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -130,3 +134,37 @@ class TestScannedAccesses:
         out = capsys.readouterr().out
         assert "detector.scanned_accesses" in out
         assert "detector.monitored_accesses" in out
+
+
+class TestSpliceMisses:
+    """A splice that cannot derive the arrays is counted, and the
+    structure-only pass it falls back to yields the same repair."""
+
+    def _repair(self):
+        program = parse(STRESS_SOURCES["stress-nested"])
+        with telemetry.session("t") as tel:
+            result = RepairEngine(algorithm="mrw").repair(program, (40,))
+        return result, tel.counters.as_dict()
+
+    def test_forced_miss_is_counted_and_identical(self, monkeypatch):
+        spliced, counters = self._repair()
+        assert counters.get("incremental.hits", 0) >= 2
+        assert counters.get("incremental.splice_misses", 0) == 0
+
+        def miss(*args):
+            raise incremental._SpliceMiss("forced")
+
+        monkeypatch.setattr(incremental, "_splice", miss)
+        fallen, missed = self._repair()
+        assert missed.get("incremental.splice_misses", 0) \
+            == counters["incremental.hits"]
+        assert missed["incremental.hits"] == counters["incremental.hits"]
+        # Each miss re-walks the whole trace.
+        assert missed["incremental.window_events"] \
+            == missed["incremental.events_total"]
+        assert fallen.repaired_source == spliced.repaired_source
+        for a, b in zip(fallen.iterations, spliced.iterations):
+            assert norm_report(a.detection.report) \
+                == norm_report(b.detection.report)
+        assert norm_report(fallen.final_detection.report) \
+            == norm_report(spliced.final_detection.report)

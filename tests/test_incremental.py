@@ -181,12 +181,14 @@ def test_mrw_repair_hits_fast_path():
     assert result.converged and len(result.iterations) >= 2
     counters = tel.counters.as_dict()
     # Every post-iteration-0 re-detection took the MRW fast path: no
-    # access events re-scanned, no fallbacks, no replay abandoned.
+    # fallbacks, no replay abandoned, and a splice that re-walked only
+    # the events around the edits — a small fraction of the trace.
     assert counters.get("incremental.hits", 0) >= 2
     assert counters.get("incremental.fallbacks", 0) == 0
     assert counters.get("repair.replay_fallbacks", 0) == 0
-    assert counters.get("incremental.window_events", 0) == 0
-    assert counters.get("incremental.events_total", 0) > 0
+    assert counters.get("incremental.splice_misses", 0) == 0
+    window = counters.get("incremental.window_events", 0)
+    assert 0 < window * 100 < counters.get("incremental.events_total", 0)
     assert result.replay_fallbacks == []
 
 

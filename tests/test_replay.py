@@ -222,6 +222,31 @@ def test_multi_iteration_repair_replays(algorithm):
     assert on.repaired_source == off.repaired_source
 
 
+#: The repair's finish goes inside a bare block statement, around the
+#: async but not the print.
+BARE_BLOCK = """
+var x = 0;
+def main() {
+    {
+        async { x = 1; }
+        print(x);
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_finish_inside_bare_block_is_replayed(algorithm):
+    """A bare block's statements open their own frame: a synthetic
+    finish among them must be in the injection chains."""
+    on = repair_with(parse(BARE_BLOCK), (), algorithm=algorithm,
+                     reuse_trace=True)
+    off = repair_with(parse(BARE_BLOCK), (), algorithm=algorithm,
+                      reuse_trace=False)
+    assert on.converged and on.final_detection.replayed
+    assert on.repaired_source == off.repaired_source
+
+
 # ----------------------------------------------------------------------
 # Access-trace invariance (the correctness premise of replay): finish
 # insertion does not change the recorded access stream.
